@@ -703,16 +703,20 @@ let serve_cmd =
   in
   let read_timeout_ms =
     let doc =
-      "Socket mode: refuse a connection (E-REQ-TIMEOUT) that keeps a \
-       partial request line buffered longer than $(docv) milliseconds.  \
-       0 disables the deadline."
+      "Socket mode only: refuse a connection (E-REQ-TIMEOUT) that keeps \
+       a partial request line buffered longer than $(docv) milliseconds.  \
+       Standard input and $(b,--input) have no read deadline.  0 \
+       disables the deadline."
     in
     Arg.(value & opt int 10_000 & info [ "read-timeout-ms" ] ~docv:"MS" ~doc)
   in
   let max_line =
     let doc =
-      "Refuse request lines longer than $(docv) bytes (E-REQ-OVERSIZE \
-       on a socket, invalid on stdio).  0 leaves them unchecked."
+      "Refuse the first request line longer than $(docv) bytes with an \
+       invalid frame typed E-REQ-OVERSIZE, then stop reading that \
+       stream: a socket connection is closed; standard input (or \
+       $(b,--input)) is read no further, and the server drains and \
+       exits.  0 leaves lines unchecked."
     in
     Arg.(value & opt int (1 lsl 20) & info [ "max-line" ] ~docv:"BYTES" ~doc)
   in
@@ -1027,7 +1031,7 @@ let () =
   (* Test-only hook: IPCP_TEST_EINTR_MS=<ms> installs a no-op SIGALRM
      handler and a repeating interval timer, so every blocking syscall
      in the process is EINTR-bombed at that period — the harness for
-     proving the serve/route select loops restart cleanly. *)
+     proving the serve/route event loop restarts cleanly. *)
   (match Sys.getenv_opt "IPCP_TEST_EINTR_MS" with
   | Some s when Sys.os_type = "Unix" -> (
     match int_of_string_opt s with

@@ -19,6 +19,17 @@ else
   echo "fmt: ocamlformat check skipped (tool not installed)"
 fi
 
+echo "== one event loop"
+# stdio serve, socket serve and the shard router share one event loop
+# (Transport.Loop): lib/serve holds exactly one select call site, so a
+# second hand-written loop cannot grow back unnoticed.
+selects=$(cat lib/serve/*.ml | grep -o 'Unix\.select' | wc -l)
+if [ "$selects" -ne 1 ]; then
+  echo "event loop: $selects Unix.select call sites in lib/serve, expected 1" >&2
+  grep -n 'Unix\.select' lib/serve/*.ml >&2 || true
+  exit 1
+fi
+
 echo "== build"
 dune build
 
@@ -216,7 +227,9 @@ echo "== serve gray failures"
 # missed heartbeats and respawned with no frame lost; injected disk
 # faults (ENOSPC / short write / fsync failure) during cache commits
 # must degrade the shards to cacheless operation with every response
-# still ok; and a 2ms EINTR storm must not change a byte.  The
+# still ok; a 2ms EINTR storm must not change a byte; and a SIGSTOPped
+# shard sent a 512 KiB request must be ejected with both frames back
+# within 10 s (a blocking shard write would wedge the router).  The
 # post-drain snapshots must lint as ipcp.health/1 (router gray-counter
 # coherence included) and carry the new readings.
 for seed in 7 11; do

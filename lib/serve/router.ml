@@ -1,6 +1,6 @@
 module Json = Ipcp_telemetry.Json
 module Telemetry = Ipcp_telemetry.Telemetry
-module Prng = Ipcp_support.Prng
+module Loop = Transport.Loop
 
 (* ---------------- the consistent-hash ring ---------------- *)
 
@@ -141,14 +141,6 @@ let default_config =
     heartbeat_misses = 3;
   }
 
-(* Same shape as the in-process worker supervisor's restart delay: capped
-   exponential plus deterministic jitter, pure in (seed, slot, restart). *)
-let backoff_ms cfg ~slot ~restart =
-  let base = cfg.backoff_base_ms * (1 lsl min (restart - 1) 16) in
-  let capped = min cfg.backoff_cap_ms (max cfg.backoff_base_ms base) in
-  let prng = Prng.create ((cfg.seed * 1_000_003) + (slot * 8191) + restart) in
-  capped + Prng.int prng (capped + 1)
-
 (* ---------------- router state ---------------- *)
 
 (* One admitted-and-forwarded request awaiting its shard's frame. *)
@@ -175,8 +167,8 @@ type agg = {
 type slot_state = {
   s_slot : int;
   s_addr : Transport.addr;
-  mutable s_up : Shard.t option;
-  mutable s_framer : Transport.Framing.t;
+  mutable s_up : (Shard.t * Loop.conn) option;
+      (** the live process and its connection in the event loop *)
   mutable s_inflight : (string, unit) Hashtbl.t;
       (** iids (pending and health parts) currently on this shard *)
   mutable s_due : float;  (** respawn deadline while down *)
@@ -213,32 +205,15 @@ type rt = {
   pending : (string, pending) Hashtbl.t;
   waiting : pending Queue.t;  (** admitted, no live shard yet *)
   aggs : (string, agg) Hashtbl.t;
-  breaker : (string, int) Hashtbl.t;  (** shard crashes per input key *)
+  breaker : Server.Breaker.t;  (** shard crashes per input key *)
   st : stats;
-  chunk : Bytes.t;
+  loop : Loop.t;
   mutable seq : int;
   mutable hseq : int;
   mutable pseq : int;  (** ping sequence ([g<pseq>.<slot>] iids) *)
   mutable eof : bool;  (** stdin closed (or stop observed) *)
   mutable out_dead : bool;
 }
-
-let stop_flag = Atomic.make false
-
-let with_signals f =
-  match Sys.os_type with
-  | "Unix" ->
-    let install s =
-      Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true))
-    in
-    let old_term = install Sys.sigterm in
-    let old_int = install Sys.sigint in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigterm old_term;
-        Sys.set_signal Sys.sigint old_int)
-      f
-  | _ -> f ()
 
 (* ---------------- output ---------------- *)
 
@@ -266,7 +241,7 @@ let lost_response (p : pending) =
 
 let shards_up rt =
   Array.fold_left
-    (fun acc ss -> if ss.s_up = None then acc else acc + 1)
+    (fun acc ss -> if Option.is_none ss.s_up then acc else acc + 1)
     0 rt.slots
 
 (* Worst-case staleness across the live fleet: how long ago the least
@@ -295,7 +270,8 @@ let write_pids rt =
         Array.iter
           (fun ss ->
             match ss.s_up with
-            | Some sh -> Printf.fprintf oc "%d %d\n" ss.s_slot (Shard.pid sh)
+            | Some (sh, _) ->
+              Printf.fprintf oc "%d %d\n" ss.s_slot (Shard.pid sh)
             | None -> ())
           rt.slots)
 
@@ -371,15 +347,21 @@ let agg_drop rt iid =
     a.a_await <- a.a_await - 1;
     if a.a_await = 0 then finish_agg rt a
 
-let crash_note rt key =
-  if rt.cfg.breaker_threshold > 0 then
-    Hashtbl.replace rt.breaker key
-      (Option.value ~default:0 (Hashtbl.find_opt rt.breaker key) + 1)
+(* Count one more consecutive restart of [ss] and schedule its respawn
+   on the in-process worker supervisor's seeded backoff. *)
+let schedule_respawn rt ss =
+  let cfg = rt.cfg in
+  ss.s_restarts <- ss.s_restarts + 1;
+  let delay_ms =
+    Server.backoff_ms ~base:cfg.backoff_base_ms ~cap:cfg.backoff_cap_ms
+      ~seed:cfg.seed ~slot:ss.s_slot ~restart:ss.s_restarts
+  in
+  ss.s_due <- Unix.gettimeofday () +. (float_of_int delay_ms /. 1000.0)
 
-let breaker_open rt key =
-  rt.cfg.breaker_threshold > 0
-  && Option.value ~default:0 (Hashtbl.find_opt rt.breaker key)
-     >= rt.cfg.breaker_threshold
+(* One request line to a shard, through its connection's outbuf: a
+   stopped shard that reads nothing buffers the tail instead of blocking
+   the loop, so heartbeats still fire and eject it. *)
+let send (_, c) line = Loop.send c (line ^ "\n")
 
 (* Forward [p] to the first live slot of [order].  With every shard
    down it parks in [waiting], flushed on the next respawn —
@@ -397,8 +379,8 @@ let rec forward_order rt p order =
       let ss = rt.slots.(slot) in
       match ss.s_up with
       | None -> try_slots rest
-      | Some sh ->
-        if Shard.send sh p.p_line then begin
+      | Some up ->
+        if send up p.p_line then begin
           Hashtbl.replace ss.s_inflight p.p_iid ();
           p.p_slot <- slot;
           if rt.cfg.route_deadline_ms > 0 then
@@ -410,7 +392,7 @@ let rec forward_order rt p order =
         else begin
           (* the connection just broke: run the death protocol (which
              re-routes *its* inflight) and keep walking the ring *)
-          shard_died rt slot;
+          shard_died ~eject:true rt slot;
           try_slots rest
         end)
   in
@@ -424,42 +406,25 @@ and forward rt p = forward_order rt p (Ring.order_from rt.ring p.p_rkey)
    the crash: each gets its single re-route, or its terminal
    E-WORKER-LOST frame if the re-route is already spent.
 
-   [eject] is the gray-failure variant: the process is alive but not
-   answering heartbeats (wedged, stopped, or pathologically slow), so
-   instead of merely abandoning the connection we SIGTERM it and
-   escalate to SIGKILL on a short fuse — a zombie shard holding the
-   socket would block its own replacement. *)
+   [eject] is the variant for a process that may still be alive: it
+   missed its heartbeats (wedged, stopped, or pathologically slow), or
+   its outbuf latched dead with the tail cap exceeded.  Instead of
+   merely abandoning the connection we SIGTERM it and escalate to
+   SIGKILL on a short fuse — a zombie shard holding the socket would
+   block its own replacement. *)
 and shard_died ?(eject = false) rt slot =
   let ss = rt.slots.(slot) in
   match ss.s_up with
   | None -> ()
-  | Some sh ->
-    (match Shard.fd sh with
-    | None -> ()
-    | Some fd ->
-      (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-      let rec salvage () =
-        match Unix.read fd rt.chunk 0 (Bytes.length rt.chunk) with
-        | exception Unix.Unix_error _ -> ()
-        | 0 -> ()
-        | n ->
-          List.iter
-            (function
-              | Transport.Framing.Line l -> resolve rt ss l
-              | Transport.Framing.Oversize _ -> ())
-            (Transport.Framing.feed ss.s_framer (Bytes.sub_string rt.chunk 0 n));
-          salvage ()
-      in
-      salvage ());
+  | Some (sh, c) ->
+    (* down before the salvage: a salvage read that meets EOF ends the
+       connection, and its [on_end] must find nothing left to kill *)
     ss.s_up <- None;
-    ss.s_framer <- Transport.Framing.create ~max_line:0;
+    Loop.drain rt.loop c;
+    Loop.remove rt.loop c;
     if eject then Shard.terminate ~patience_ms:500 sh else Shard.abandon sh;
-    ss.s_restarts <- ss.s_restarts + 1;
+    schedule_respawn rt ss;
     rt.st.restarts <- rt.st.restarts + 1;
-    ss.s_due <-
-      Unix.gettimeofday ()
-      +. float_of_int (backoff_ms rt.cfg ~slot ~restart:ss.s_restarts)
-         /. 1000.0;
     let iids = Hashtbl.fold (fun k () acc -> k :: acc) ss.s_inflight [] in
     Hashtbl.reset ss.s_inflight;
     List.iter
@@ -471,7 +436,7 @@ and shard_died ?(eject = false) rt slot =
              shard's death charges it nothing *)
           ()
         | Some p ->
-          crash_note rt p.p_ikey;
+          Server.Breaker.note rt.breaker p.p_ikey ~crashed:true;
           if p.p_rerouted then begin
             Hashtbl.remove rt.pending iid;
             rt.st.lost <- rt.st.lost + 1;
@@ -502,9 +467,8 @@ and resolve rt ss line =
       | Some p ->
         Hashtbl.remove rt.pending iid;
         (* a served input is behaving again: close its breaker *)
-        (match r.Request.rs_status with
-        | Request.Ok_done -> Hashtbl.remove rt.breaker p.p_ikey
-        | _ -> ());
+        if r.Request.rs_status = Request.Ok_done then
+          Server.Breaker.note rt.breaker p.p_ikey ~crashed:false;
         rt.st.completed <- rt.st.completed + 1;
         emit rt { r with Request.rs_id = p.p_orig_id }
       | None -> (
@@ -532,18 +496,29 @@ let flush_waiting rt =
     forward rt (Queue.pop rt.waiting)
   done
 
+(* A live shard's connection: its frames resolve pending requests (and
+   prove it alive), its end runs the death protocol. *)
+let shard_conn rt ss sh =
+  let fd = Shard.fd sh in
+  Loop.add rt.loop ~out:(Transport.Outbuf.create fd)
+    ~on_gone:(fun () -> shard_died ~eject:true rt ss.s_slot)
+    ~on_line:(fun line ->
+      ss.s_hb_seen <- Unix.gettimeofday ();
+      resolve rt ss line)
+    ~on_end:(fun _ -> shard_died rt ss.s_slot)
+    fd
+
 let respawn_due rt =
   Array.iter
     (fun ss ->
-      if ss.s_up = None && Unix.gettimeofday () >= ss.s_due then begin
+      if Option.is_none ss.s_up && Unix.gettimeofday () >= ss.s_due then begin
         match
-          Shard.start ~binary:rt.cfg.binary ~addr:ss.s_addr ~slot:ss.s_slot
+          Shard.start ~binary:rt.cfg.binary ~addr:ss.s_addr
             ~args:rt.cfg.shard_args
             ~connect_timeout_ms:rt.cfg.connect_timeout_ms
         with
         | sh ->
-          ss.s_up <- Some sh;
-          ss.s_framer <- Transport.Framing.create ~max_line:0;
+          ss.s_up <- Some (sh, shard_conn rt ss sh);
           ss.s_hb_sent <- 0.0;
           ss.s_hb_seen <- Unix.gettimeofday ();
           ss.s_hb_missed <- 0;
@@ -553,12 +528,7 @@ let respawn_due rt =
           (* spawn failed (fork pressure, bind race): retry forever on
              the same backoff schedule — a router with zero shards up
              still owes every parked request a response *)
-          ss.s_restarts <- ss.s_restarts + 1;
-          ss.s_due <-
-            Unix.gettimeofday ()
-            +. float_of_int
-                 (backoff_ms rt.cfg ~slot:ss.s_slot ~restart:ss.s_restarts)
-               /. 1000.0
+          schedule_respawn rt ss
       end)
     rt.slots
 
@@ -582,7 +552,7 @@ let heartbeat rt =
       (fun ss ->
         match ss.s_up with
         | None -> ()
-        | Some sh ->
+        | Some ((sh, _) as up) ->
           if now -. ss.s_hb_sent >= interval then begin
             if ss.s_hb_sent > 0.0 && ss.s_hb_seen < ss.s_hb_sent then
               ss.s_hb_missed <- ss.s_hb_missed + 1
@@ -602,8 +572,9 @@ let heartbeat rt =
               (* fire-and-forget: the pong is not ledgered — it falls to
                  [resolve]'s discard arm; liveness is tracked by
                  [s_hb_seen], which any frame refreshes *)
-              if not (Shard.send sh (ping_line (Printf.sprintf "g%d.%d" rt.pseq ss.s_slot)))
-              then shard_died rt ss.s_slot
+              let iid = Printf.sprintf "g%d.%d" rt.pseq ss.s_slot in
+              if not (send up (ping_line iid)) then
+                shard_died ~eject:true rt ss.s_slot
             end
           end)
       rt.slots
@@ -660,14 +631,14 @@ let start_health rt sink =
     (fun ss ->
       match ss.s_up with
       | None -> ()
-      | Some sh ->
+      | Some up ->
         let iid = Printf.sprintf "h%d.%d" rt.hseq ss.s_slot in
-        if Shard.send sh (health_request_line iid) then begin
+        if send up (health_request_line iid) then begin
           Hashtbl.replace rt.aggs iid a;
           Hashtbl.replace ss.s_inflight iid ();
           a.a_await <- a.a_await + 1
         end
-        else shard_died rt ss.s_slot)
+        else shard_died ~eject:true rt ss.s_slot)
     rt.slots;
   if a.a_await = 0 then finish_agg rt a
 
@@ -682,7 +653,7 @@ let admit rt line =
       start_health rt (`Client req.Request.rq_id)
     | Ok req ->
       let ikey = Request.input_key req in
-      if breaker_open rt ikey then begin
+      if Server.Breaker.decide rt.breaker ikey = `Deny then begin
         rt.st.quarantined <- rt.st.quarantined + 1;
         emit rt (Server.quarantined_response req)
       end
@@ -716,18 +687,6 @@ let admit rt line =
       end
   end
 
-let reject_drained rt line =
-  if String.trim line <> "" then begin
-    rt.st.rx <- rt.st.rx + 1;
-    rt.st.drained <- rt.st.drained + 1;
-    let id =
-      match Request.of_line line with
-      | Ok r -> r.Request.rq_id
-      | Error pe -> pe.Request.pe_id
-    in
-    emit rt (Server.drained_response ~id)
-  end
-
 (* ---------------- run ---------------- *)
 
 let fresh_runtime_dir () =
@@ -744,7 +703,6 @@ let fresh_runtime_dir () =
   go 0
 
 let run cfg =
-  Atomic.set stop_flag false;
   let cfg = { cfg with shards = max 1 cfg.shards } in
   let dir, dir_owned =
     match cfg.runtime_dir with
@@ -767,7 +725,6 @@ let run cfg =
                 Transport.Unix_sock
                   (Filename.concat dir (Printf.sprintf "shard-%d.sock" slot));
               s_up = None;
-              s_framer = Transport.Framing.create ~max_line:0;
               s_inflight = Hashtbl.create 16;
               s_due = 0.0;
               s_restarts = 0;
@@ -780,7 +737,8 @@ let run cfg =
       pending = Hashtbl.create 64;
       waiting = Queue.create ();
       aggs = Hashtbl.create 8;
-      breaker = Hashtbl.create 16;
+      breaker =
+        Server.Breaker.create ~threshold:cfg.breaker_threshold ~reset_after:0;
       st =
         {
           rx = 0;
@@ -797,7 +755,7 @@ let run cfg =
           ejections = 0;
           late_dropped = 0;
         };
-      chunk = Bytes.create 65536;
+      loop = Loop.create ();
       seq = 0;
       hseq = 0;
       pseq = 0;
@@ -805,127 +763,44 @@ let run cfg =
       out_dead = false;
     }
   in
-  with_signals @@ fun () ->
+  Loop.with_signals @@ fun () ->
   (* initial fleet; a slot that fails to start is retried by the normal
      respawn schedule *)
   respawn_due rt;
-  let stdin_framer = Transport.Framing.create ~max_line:0 in
-  let read_stdin () =
-    match Unix.read Unix.stdin rt.chunk 0 (Bytes.length rt.chunk) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | 0 ->
-      rt.eof <- true;
-      (match Transport.Framing.finish stdin_framer with
-      | Some l -> admit rt l
-      | None -> ())
-    | n ->
-      List.iter
-        (function
-          | Transport.Framing.Line l -> admit rt l
-          | Transport.Framing.Oversize _ -> ())
-        (Transport.Framing.feed stdin_framer (Bytes.sub_string rt.chunk 0 n))
+  let stdin_conn =
+    Loop.add rt.loop
+      ~on_line:(fun line ->
+        if Loop.stopping () then
+          Server.reject_drained line (fun r ->
+              rt.st.rx <- rt.st.rx + 1;
+              rt.st.drained <- rt.st.drained + 1;
+              emit rt r)
+        else admit rt line)
+      ~on_end:(fun _ -> rt.eof <- true)
+      Unix.stdin
   in
-  let read_shard ss =
-    match ss.s_up with
-    | None -> ()
-    | Some sh -> (
-      match Shard.fd sh with
-      | None -> ()
-      | Some fd -> (
-        match Unix.read fd rt.chunk 0 (Bytes.length rt.chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> shard_died rt ss.s_slot
-        | 0 -> shard_died rt ss.s_slot
-        | n ->
-          (* any bytes prove the process is alive and draining *)
-          ss.s_hb_seen <- Unix.gettimeofday ();
-          List.iter
-            (function
-              | Transport.Framing.Line l -> resolve rt ss l
-              | Transport.Framing.Oversize _ -> ())
-            (Transport.Framing.feed ss.s_framer
-               (Bytes.sub_string rt.chunk 0 n))))
+  let tick () =
+    (* stop wins over unread input: lines already readable get typed
+       drain rejections, not silence *)
+    if Loop.stopping () then Loop.finish rt.loop stdin_conn;
+    respawn_due rt;
+    heartbeat rt;
+    check_route_deadlines rt
   in
-  let settled () =
-    rt.eof
-    && Hashtbl.length rt.pending = 0
-    && Queue.is_empty rt.waiting
-    && Hashtbl.length rt.aggs = 0
-  in
-  let rec loop () =
-    if (not rt.eof) && Atomic.get stop_flag then begin
-      (* stop wins over anything still buffered: a partial line already
-         on its way in gets a typed drain rejection, not silence *)
-      rt.eof <- true;
-      match Transport.Framing.finish stdin_framer with
-      | Some l -> reject_drained rt l
-      | None -> ()
-    end;
-    if not (settled ()) then begin
-      respawn_due rt;
-      heartbeat rt;
-      check_route_deadlines rt;
-      let shard_fds =
-        Array.fold_left
-          (fun acc ss ->
-            match ss.s_up with
-            | Some sh -> (
-              match Shard.fd sh with
-              | Some fd -> (fd, ss) :: acc
-              | None -> acc)
-            | None -> acc)
-          [] rt.slots
-      in
-      let read_set =
-        (if rt.eof then [] else [ Unix.stdin ]) @ List.map fst shard_fds
-      in
-      (match Unix.select read_set [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-        List.iter
-          (fun fd ->
-            if fd == Unix.stdin && not rt.eof then read_stdin ()
-            else
-              match List.find_opt (fun (f, _) -> f == fd) shard_fds with
-              | Some (_, ss) -> read_shard ss
-              | None -> ())
-          ready);
-      loop ()
-    end
-  in
-  loop ();
+  Loop.run rt.loop ~tick ~until:(fun () ->
+      rt.eof
+      && Hashtbl.length rt.pending = 0
+      && Queue.is_empty rt.waiting
+      && Hashtbl.length rt.aggs = 0);
   (* final merged snapshot, while the shards still answer *)
   (match cfg.health_out with
   | None -> ()
   | Some path ->
     start_health rt (`File path);
     let deadline = Unix.gettimeofday () +. 5.0 in
-    let rec wait () =
-      if Hashtbl.length rt.aggs > 0 && Unix.gettimeofday () < deadline then begin
-        let shard_fds =
-          Array.fold_left
-            (fun acc ss ->
-              match ss.s_up with
-              | Some sh -> (
-                match Shard.fd sh with
-                | Some fd -> (fd, ss) :: acc
-                | None -> acc)
-              | None -> acc)
-            [] rt.slots
-        in
-        (match Unix.select (List.map fst shard_fds) [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun (f, _) -> f == fd) shard_fds with
-              | Some (_, ss) -> read_shard ss
-              | None -> ())
-            ready);
-        wait ()
-      end
-    in
-    wait ());
-  Array.iter (fun ss -> Option.iter Shard.terminate ss.s_up) rt.slots;
+    Loop.run rt.loop ~tick:ignore ~until:(fun () ->
+        Hashtbl.length rt.aggs = 0 || Unix.gettimeofday () >= deadline));
+  Array.iter (fun ss -> Option.iter (fun (sh, _) -> Shard.terminate sh) ss.s_up)
+    rt.slots;
   if rt.dir_owned then (try Unix.rmdir rt.dir with Unix.Unix_error _ -> ());
   if rt.out_dead then Jobs.exit_input else 0

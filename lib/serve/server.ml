@@ -54,10 +54,6 @@ let certify_sampled ~seed ~rate ~seq =
   rate > 0.0
   && (rate >= 1.0 || Prng.chance (Prng.create ((seed * 777_767) + seq)) rate)
 
-(* Signal handlers may not allocate much and run on an arbitrary domain:
-   they only flip this flag; the reader polls it. *)
-let stop_flag = Atomic.make false
-
 let contains ~sub s =
   let n = String.length s and k = String.length sub in
   let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
@@ -76,7 +72,6 @@ type outlet = {
   ol_dest : [ `Channel of out_channel | `Sock of Transport.Outbuf.t ];
   mutable ol_dead : bool;
   mutable ol_pending : int;
-  mutable ol_eof : bool;  (** peer finished submitting (EOF, or refused) *)
 }
 
 let outlet dest =
@@ -85,7 +80,6 @@ let outlet dest =
     ol_dest = dest;
     ol_dead = false;
     ol_pending = 0;
-    ol_eof = false;
   }
 
 (* One request line was submitted on this outlet: a terminal response is
@@ -137,25 +131,106 @@ type counters = {
           re-arms the cacheless-degradation latch) *)
 }
 
-(* One circuit-breaker entry.  [bk_denied]/[bk_probing] implement the
-   half-open policy: after [breaker_reset_after] quarantined responses,
-   the next request runs as a probe instead of being denied; a
-   successful probe closes the breaker (the entry is removed), a
-   crashing or failing one re-opens it with a fresh denial window. *)
-type breaker_entry = {
-  mutable bk_crashes : int;
-  mutable bk_denied : int;
-  mutable bk_probing : bool;
-}
+(* ---------------- circuit breaker ---------------- *)
+
+module Breaker = struct
+  (* One entry per input.  [denied]/[probing] implement the half-open
+     policy: after [reset_after] quarantined responses, the next request
+     runs as a probe instead of being denied; a successful probe closes
+     the breaker (the entry is removed), a crashing or failing one
+     re-opens it with a fresh denial window. *)
+  type entry = {
+    mutable crashes : int;
+    mutable denied : int;
+    mutable probing : bool;
+  }
+
+  type t = {
+    threshold : int;
+    reset_after : int;
+    mu : Mutex.t;
+    entries : (string, entry) Hashtbl.t;
+  }
+
+  let create ~threshold ~reset_after =
+    {
+      threshold;
+      reset_after;
+      mu = Mutex.create ();
+      entries = Hashtbl.create 16;
+    }
+
+  let locked b f =
+    Mutex.lock b.mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock b.mu) f
+
+  let entry b key =
+    match Hashtbl.find_opt b.entries key with
+    | Some e -> e
+    | None ->
+      let e = { crashes = 0; denied = 0; probing = false } in
+      Hashtbl.replace b.entries key e;
+      e
+
+  let decide b key =
+    if b.threshold <= 0 then `Run false
+    else
+      locked b (fun () ->
+          match Hashtbl.find_opt b.entries key with
+          | None -> `Run false
+          | Some e ->
+            if e.crashes < b.threshold then `Run false
+            else if
+              b.reset_after > 0 && (not e.probing) && e.denied >= b.reset_after
+            then begin
+              e.probing <- true;
+              `Run true
+            end
+            else begin
+              e.denied <- e.denied + 1;
+              `Deny
+            end)
+
+  let note b key ~crashed =
+    if b.threshold > 0 then
+      locked b (fun () ->
+          if crashed then begin
+            let e = entry b key in
+            e.crashes <- e.crashes + 1;
+            e.denied <- 0;
+            e.probing <- false
+          end
+          else Hashtbl.remove b.entries key)
+
+  let trip b key =
+    if b.threshold > 0 then
+      locked b (fun () ->
+          let e = entry b key in
+          e.crashes <- max e.crashes b.threshold;
+          e.denied <- 0;
+          e.probing <- false)
+
+  let release_probe b key =
+    locked b (fun () ->
+        Option.iter
+          (fun e -> e.probing <- false)
+          (Hashtbl.find_opt b.entries key))
+
+  let counts b =
+    locked b (fun () ->
+        ( Hashtbl.fold
+            (fun _ e n -> if e.crashes >= b.threshold then n + 1 else n)
+            b.entries 0,
+          Hashtbl.length b.entries ))
+end
 
 type state = {
   cfg : config;
-  mu : Mutex.t;  (** guards queue, draining, breaker, counters *)
+  mu : Mutex.t;  (** guards queue, draining, counters *)
   cond : Condition.t;  (** queue became non-empty, or draining began *)
   queue : job Bqueue.t;
   mutable draining : bool;
-  breaker : (string, breaker_entry) Hashtbl.t;
-      (** consecutive crashes (and half-open state) per input *)
+  breaker : Breaker.t;
   cache : Cache.t option;
   sess_mu : Mutex.t;  (** guards [sessions] only: get/put, never a solve *)
   sessions : (string, Incr.session) Hashtbl.t;
@@ -241,89 +316,20 @@ let locked st f =
   Mutex.lock st.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
 
-(* ---------------- circuit breaker ---------------- *)
-
-(* Admission decision for [key].  [`Run probe] executes the request
-   ([probe = true] when it is the half-open probe of an open breaker);
-   [`Deny] answers [quarantined] without executing.  Mutates the denial
-   window, so callers decide exactly once per request. *)
-let breaker_decide st key =
-  if st.cfg.breaker_threshold <= 0 then `Run false
-  else
-    locked st (fun () ->
-        match Hashtbl.find_opt st.breaker key with
-        | None -> `Run false
-        | Some e ->
-          if e.bk_crashes < st.cfg.breaker_threshold then `Run false
-          else if
-            st.cfg.breaker_reset_after > 0
-            && (not e.bk_probing)
-            && e.bk_denied >= st.cfg.breaker_reset_after
-          then begin
-            e.bk_probing <- true;
-            `Run true
-          end
-          else begin
-            e.bk_denied <- e.bk_denied + 1;
-            `Deny
-          end)
-
-let breaker_note st key crashed =
-  if st.cfg.breaker_threshold > 0 then
-    locked st (fun () ->
-        if crashed then begin
-          let e =
-            match Hashtbl.find_opt st.breaker key with
-            | Some e -> e
-            | None ->
-              let e = { bk_crashes = 0; bk_denied = 0; bk_probing = false } in
-              Hashtbl.replace st.breaker key e;
-              e
-          in
-          e.bk_crashes <- e.bk_crashes + 1;
-          e.bk_denied <- 0;
-          e.bk_probing <- false
-        end
-        else Hashtbl.remove st.breaker key)
-
-(* A failed online certification quarantines the input immediately: the
-   solution itself is untrustworthy, so waiting for [breaker_threshold]
-   repeat offences would keep serving work we already know is bad. *)
-let breaker_trip st key =
-  if st.cfg.breaker_threshold > 0 then
-    locked st (fun () ->
-        let e =
-          match Hashtbl.find_opt st.breaker key with
-          | Some e -> e
-          | None ->
-            let e = { bk_crashes = 0; bk_denied = 0; bk_probing = false } in
-            Hashtbl.replace st.breaker key e;
-            e
-        in
-        e.bk_crashes <- max e.bk_crashes st.cfg.breaker_threshold;
-        e.bk_denied <- 0;
-        e.bk_probing <- false)
-
 (* ---------------- health ---------------- *)
 
 let health_doc st =
   let gauges, counters =
     locked st (fun () ->
-        let quarantined_inputs =
-          Hashtbl.fold
-            (fun _ e acc ->
-              if e.bk_crashes >= st.cfg.breaker_threshold then acc + 1 else acc)
-            st.breaker 0
-        in
+        let quarantined_inputs, breaker_entries = Breaker.counts st.breaker in
         let gauges =
           [
             ("serve.queue_depth", Bqueue.length st.queue);
             ("serve.queue_capacity", Bqueue.capacity st.queue);
             ("serve.workers", st.cfg.workers);
             ("serve.worker_restarts", st.n.restarts_total);
-            ( "serve.quarantined_inputs",
-              if st.cfg.breaker_threshold > 0 then quarantined_inputs else 0 );
-            ("serve.breaker_entries", Hashtbl.length st.breaker);
+            ("serve.quarantined_inputs", quarantined_inputs);
+            ("serve.breaker_entries", breaker_entries);
           ]
           @
           match st.cache with
@@ -767,7 +773,7 @@ module Delta_copy = Analysis_serve (Ipcp_analysis.Copy_analysis)
 
 let run_job st ~seq (req : Request.t) : exec =
   match req.rq_op with
-  | Request.Health | Request.Ping -> assert false (* answered by the reader *)
+  | Request.Health | Request.Ping -> assert false (* answered by the loop *)
   | Request.Tables ->
     plain
       (Jobs.tables ~analysis:req.rq_analysis ~certify:req.rq_certify
@@ -797,10 +803,10 @@ let run_job st ~seq (req : Request.t) : exec =
 (* Restart delay of a worker slot's [r]-th consecutive crash: capped
    exponential backoff plus deterministic jitter — a pure function of
    (seed, slot, r), so a seeded fault run waits the same everywhere. *)
-let backoff_ms cfg ~slot ~restart =
-  let base = cfg.backoff_base_ms * (1 lsl min (restart - 1) 16) in
-  let capped = min cfg.backoff_cap_ms (max cfg.backoff_base_ms base) in
-  let prng = Prng.create ((cfg.seed * 1_000_003) + (slot * 8191) + restart) in
+let backoff_ms ~base ~cap ~seed ~slot ~restart =
+  let delay = base * (1 lsl min (restart - 1) 16) in
+  let capped = min cap (max base delay) in
+  let prng = Prng.create ((seed * 1_000_003) + (slot * 8191) + restart) in
   capped + Prng.int prng (capped + 1)
 
 let quarantined_response (req : Request.t) =
@@ -821,10 +827,20 @@ let invalid_response (pe : Request.parse_error) =
          pe.Request.pe_reason)
     Request.Invalid
 
-let drained_response ~id =
-  Request.response ~id ~reason:"server is draining"
-    ~error:(Err.draining "request line read but never admitted before drain")
-    Request.Rejected
+(* A request line that was read but never admitted (the server began
+   draining first) still gets its terminal frame, handed to [emit]. *)
+let reject_drained line emit =
+  if String.trim line <> "" then
+    let id =
+      match Request.of_line line with
+      | Ok r -> r.Request.rq_id
+      | Error pe -> pe.Request.pe_id
+    in
+    emit
+      (Request.response ~id ~reason:"server is draining"
+         ~error:
+           (Err.draining "request line read but never admitted before drain")
+         Request.Rejected)
 
 let certification_failed_response (req : Request.t) (e : Err.t) =
   Request.response ~id:req.rq_id ~code:Jobs.exit_internal
@@ -867,7 +883,7 @@ let execute st ~slot ~restarts job =
   | _ -> ());
   (* test-only: IPCP_SERVE_STALL_INPUT=<fragment> is the gray twin —
      the worker sleeps past any router deadline without crashing, while
-     the reader keeps answering pings; how the hedged-failover harness
+     the event loop keeps answering pings; how the hedged-failover harness
      makes one shard slow-but-alive *)
   (match st.stall_input with
   | Some frag when frag <> "" && contains ~sub:frag key ->
@@ -878,9 +894,9 @@ let execute st ~slot ~restarts job =
   | Some ms -> Unix.sleepf (float_of_int ms /. 1000.)
   | None -> ());
   let decision =
-    (* a probe admitted by the reader already holds the half-open slot;
+    (* a probe admitted by the loop already holds the half-open slot;
        deciding again here would deny it against its own probe *)
-    if job.j_probe then `Run true else breaker_decide st key
+    if job.j_probe then `Run true else Breaker.decide st.breaker key
   in
   match decision with
   | `Deny ->
@@ -896,12 +912,12 @@ let execute st ~slot ~restarts job =
       (* never emitted as [ok]: the rendered outcome is discarded, the
          client gets the typed terminal frame, and the input is
          quarantined — serving it again would serve the same corruption *)
-      breaker_trip st key;
+      Breaker.trip st.breaker key;
       locked st (fun () -> note_verdict st.n v);
       respond st job.j_outlet (certification_failed_response req e);
       0
     | o ->
-      breaker_note st key false;
+      Breaker.note st.breaker key ~crashed:false;
       locked st (fun () ->
           Option.iter (note_verdict st.n) o.ex_verdict;
           st.n.completed <- st.n.completed + 1);
@@ -911,7 +927,7 @@ let execute st ~slot ~restarts job =
            ?error:o.ex_typed Request.Ok_done);
       0
     | exception e ->
-      breaker_note st key true;
+      Breaker.note st.breaker key ~crashed:true;
       locked st (fun () -> st.n.errors <- st.n.errors + 1);
       respond st job.j_outlet
         (Request.response ~id:req.rq_id ~code:Jobs.exit_internal
@@ -920,7 +936,10 @@ let execute st ~slot ~restarts job =
            Request.Error_crash);
       let restart = restarts + 1 in
       locked st (fun () -> st.n.restarts_total <- st.n.restarts_total + 1);
-      let delay = backoff_ms st.cfg ~slot ~restart in
+      let delay =
+        backoff_ms ~base:st.cfg.backoff_base_ms ~cap:st.cfg.backoff_cap_ms
+          ~seed:st.cfg.seed ~slot ~restart
+      in
       Unix.sleepf (float_of_int delay /. 1000.0);
       restart)
 
@@ -946,7 +965,7 @@ let worker st slot () =
   in
   loop 0
 
-(* ---------------- admission (reader side) ---------------- *)
+(* ---------------- admission (event-loop side) ---------------- *)
 
 let handle_line st ~outlet ~seq line =
   if String.trim line <> "" then begin
@@ -971,7 +990,7 @@ let handle_line st ~outlet ~seq line =
           (Request.response ~id:req.rq_id ~code:0 Request.Ok_done)
       | _ -> (
         let key = Request.input_key req in
-        match breaker_decide st key with
+        match Breaker.decide st.breaker key with
         | `Deny ->
           locked st (fun () -> st.n.quarantined <- st.n.quarantined + 1);
           respond st outlet (quarantined_response req)
@@ -1002,15 +1021,11 @@ let handle_line st ~outlet ~seq line =
                        policy")
                  Request.Rejected)
           | Bqueue.Displaced old ->
-            locked st (fun () ->
-                st.n.shed <- st.n.shed + 1;
-                (* a shed probe never executes: release the half-open
-                   slot so the breaker can probe again later *)
-                if old.j_probe then
-                  Option.iter
-                    (fun e -> e.bk_probing <- false)
-                    (Hashtbl.find_opt st.breaker
-                       (Request.input_key old.j_req)));
+            locked st (fun () -> st.n.shed <- st.n.shed + 1);
+            (* a shed probe never executes: release the half-open slot
+               so the breaker can probe again later *)
+            if old.j_probe then
+              Breaker.release_probe st.breaker (Request.input_key old.j_req);
             respond st old.j_outlet
               (Request.response ~id:old.j_req.Request.rq_id
                  ~reason:"displaced from a full queue (drop-oldest)"
@@ -1021,91 +1036,6 @@ let handle_line st ~outlet ~seq line =
                  Request.Shed))))
   end
 
-(* A request line that was read but never admitted (the server began
-   draining first) still gets its terminal frame. *)
-let reject_drained st ~outlet line =
-  if String.trim line <> "" then begin
-    owe outlet;
-    locked st (fun () ->
-        st.n.received <- st.n.received + 1;
-        st.n.rejected <- st.n.rejected + 1);
-    let id =
-      match Request.of_line line with
-      | Ok r -> r.Request.rq_id
-      | Error pe -> pe.Request.pe_id
-    in
-    respond st outlet (drained_response ~id)
-  end
-
-(* ---------------- reader loop (stdio mode) ---------------- *)
-
-(* Poll with a short select timeout rather than blocking in read: a
-   termination signal must be noticed even when no input arrives, and
-   EINTR can interrupt either call. *)
-let reader st ~outlet input =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let seq = ref 0 in
-  let drain_lines () =
-    let data = Buffer.contents buf in
-    let rec go start =
-      match String.index_from_opt data start '\n' with
-      | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf data start (String.length data - start)
-      | Some nl ->
-        handle_line st ~outlet ~seq:!seq (String.sub data start (nl - start));
-        incr seq;
-        go (nl + 1)
-    in
-    go 0
-  in
-  let rec loop () =
-    if Atomic.get stop_flag then `Stopped
-    else
-      match Unix.select [ input ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Unix.read input chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | 0 -> `Eof
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain_lines ();
-          loop ())
-  in
-  let ending = loop () in
-  (match ending with
-  | `Eof ->
-    (* a final line without a trailing newline is still a request *)
-    if Buffer.length buf > 0 then begin
-      handle_line st ~outlet ~seq:!seq (Buffer.contents buf);
-      incr seq
-    end
-  | `Stopped ->
-    (* stop wins over anything still buffered: those lines were
-       submitted, so they get typed rejections, not silence *)
-    List.iter
-      (reject_drained st ~outlet)
-      (String.split_on_char '\n' (Buffer.contents buf)));
-  Buffer.clear buf
-
-(* ---------------- shared run machinery ---------------- *)
-
-let with_signals f =
-  match Sys.os_type with
-  | "Unix" ->
-    let install s = Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true)) in
-    let old_term = install Sys.sigterm in
-    let old_int = install Sys.sigint in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigterm old_term;
-        Sys.set_signal Sys.sigint old_int)
-      f
-  | _ -> f ()
-
 let make_state config =
   {
     cfg = config;
@@ -1115,7 +1045,9 @@ let make_state config =
       Bqueue.create ~capacity:config.queue_capacity
         ~policy:config.queue_policy;
     draining = false;
-    breaker = Hashtbl.create 16;
+    breaker =
+      Breaker.create ~threshold:config.breaker_threshold
+        ~reset_after:config.breaker_reset_after;
     cache =
       Option.map
         (fun dir -> Cache.create ?max_entries:config.cache_max_entries ~dir ())
@@ -1184,24 +1116,111 @@ let write_health_out st =
         output_string oc (Ipcp_telemetry.Json.to_string (health_doc st));
         output_char oc '\n')
 
-(* ---------------- run (stdio mode) ---------------- *)
 
-let run ?(config = default_config) ~input ~output () =
-  Atomic.set stop_flag false;
-  let config = { config with workers = max 1 config.workers } in
-  let st = make_state config in
-  let out = outlet (`Channel output) in
-  prewarm_registry ();
-  with_signals @@ fun () ->
-  let workers =
-    Array.init config.workers (fun slot -> Domain.spawn (worker st slot))
+(* ---------------- client streams ---------------- *)
+
+(* The terminal frame for a client stream that broke a framing defense:
+   the over-long line ([max_line]), or a partial line outliving the read
+   deadline (sockets only). *)
+let refusal st (ending : Transport.Loop.ending) =
+  let limit = st.cfg.max_line and deadline = st.cfg.read_timeout_ms in
+  match ending with
+  | Transport.Loop.Eof | Transport.Loop.Broken -> None
+  | Transport.Loop.Oversize bytes ->
+    locked st (fun () -> st.n.req_oversize <- st.n.req_oversize + 1);
+    Some
+      (Request.response ~id:""
+         ~reason:
+           (Printf.sprintf "request line exceeds the %d byte cap (%d buffered)"
+              limit bytes)
+         ~error:
+           (Err.oversize
+              (Printf.sprintf
+                 "request line of %d bytes exceeds the per-connection cap of \
+                  %d"
+                 bytes limit))
+         Request.Invalid)
+  | Transport.Loop.Timeout ->
+    locked st (fun () -> st.n.req_timeout <- st.n.req_timeout + 1);
+    Some
+      (Request.response ~id:""
+         ~reason:
+           (Printf.sprintf "read deadline (%d ms) expired with a partial \
+                            request buffered"
+              deadline)
+         ~error:
+           (Err.timed_out
+              (Printf.sprintf
+                 "no complete request line within %d ms of the first partial \
+                  byte"
+                 deadline))
+         Request.Invalid)
+
+(* Register one client stream — stdin, or an accepted socket — with the
+   loop.  Its lines are admitted in arrival order under the shared
+   sequence counter, or rejected once a stop was signalled; a refused
+   stream owes one terminal frame for the refused line. *)
+let add_client st loop ~seq ?out ?read_timeout_ms ?on_gone outlet fd =
+  let on_line line =
+    if Transport.Loop.stopping () then
+      reject_drained line (fun r ->
+          owe outlet;
+          locked st (fun () ->
+              st.n.received <- st.n.received + 1;
+              st.n.rejected <- st.n.rejected + 1);
+          respond st outlet r)
+    else begin
+      handle_line st ~outlet ~seq:!seq line;
+      incr seq
+    end
   in
-  reader st ~outlet:out input;
+  let on_end ending =
+    match refusal st ending with
+    | None -> ()
+    | Some r ->
+      owe outlet;
+      locked st (fun () ->
+          st.n.received <- st.n.received + 1;
+          st.n.invalid <- st.n.invalid + 1);
+      respond st outlet r
+  in
+  Transport.Loop.add loop ~max_line:st.cfg.max_line ?out ?read_timeout_ms
+    ?on_gone ~on_line ~on_end fd
+
+(* Both modes: the worker pool runs while [feed] drives the event loop;
+   then the pool drains, buffered write tails get one bounded flush,
+   and the settled health snapshot is written. *)
+let serving config feed =
+  let st = make_state { config with workers = max 1 config.workers } in
+  prewarm_registry ();
+  Transport.Loop.with_signals @@ fun () ->
+  let workers =
+    Array.init st.cfg.workers (fun slot -> Domain.spawn (worker st slot))
+  in
+  let loop = Transport.Loop.create () in
+  feed st loop;
   locked st (fun () ->
       st.draining <- true;
       Condition.broadcast st.cond);
   Array.iter Domain.join workers;
-  write_health_out st;
+  Transport.Loop.flush loop ~within:2.0;
+  write_health_out st
+
+(* ---------------- run (stdio mode) ---------------- *)
+
+(* Stdin is one client stream of the loop.  Responses go through the
+   channel outlet, never an outbuf: stdout may share its file
+   description with the shell and must not be switched to
+   [O_NONBLOCK]. *)
+let run ?(config = default_config) ~input ~output () =
+  let out = outlet (`Channel output) in
+  serving config (fun st loop ->
+      let c = add_client st loop ~seq:(ref 0) out input in
+      Transport.Loop.run loop ~tick:ignore ~until:(fun () ->
+          Transport.Loop.stopping () || not (Transport.Loop.reading c));
+      (* stop wins over unread input: lines already readable were
+         submitted, so they get typed drain rejections, not silence *)
+      Transport.Loop.finish loop c);
   Mutex.lock out.ol_mu;
   (if not out.ol_dead then
      try flush output with Sys_error _ -> out.ol_dead <- true);
@@ -1210,324 +1229,82 @@ let run ?(config = default_config) ~input ~output () =
 
 (* ---------------- run (socket listener mode) ---------------- *)
 
-(* One accepted client connection of the listener loop. *)
-type conn = {
-  c_fd : Unix.file_descr;
-  c_outlet : outlet;
-  c_outbuf : Transport.Outbuf.t;
-      (** the write-side tail buffer; the select loop services it when
-          the fd turns writable *)
-  c_framer : Transport.Framing.t;
-  mutable c_partial_since : float option;
-      (** when the currently buffered partial request line began — the
-          read deadline's clock, armed only while a request is pending *)
-  mutable c_stop_read : bool;
-      (** EOF seen, or the connection was refused (oversize/timeout) *)
-}
+(* The peer stopped reading and its buffered response tail outgrew the
+   cap, or the resumed write failed hard: charge the loss once. *)
+let outbuf_gone st o =
+  Mutex.lock o.ol_mu;
+  let fresh = not o.ol_dead in
+  o.ol_dead <- true;
+  Mutex.unlock o.ol_mu;
+  if fresh then begin
+    locked st (fun () -> st.n.client_gone <- st.n.client_gone + 1);
+    log_line
+      (Request.response_to_line
+         (Request.response ~id:""
+            ~reason:
+              "client connection gone with buffered response bytes \
+               undelivered"
+            ~error:
+              (Err.gone
+                 "buffered response tail undeliverable: peer closed or \
+                  stopped reading")
+            Request.Error_crash))
+  end
 
-(* Serve over a listening socket: one select-driven connection manager
-   feeding the same admission machinery and worker pool as stdio mode,
-   with per-connection outlets.  Concurrency comes from the worker
-   domains; the manager only frames lines and answers health inline.
-   Defenses: [max_line] caps a request line (refused E-REQ-OVERSIZE,
-   connection closed), [read_timeout_ms] bounds how long a partial line
-   may dribble in (refused E-REQ-TIMEOUT) — together the slow-loris
-   guard.  Runs until SIGTERM/SIGINT, then drains in-flight work and
-   answers typed rejections for lines that arrived but were never
-   admitted.  Always returns 0: a vanished client is that client's
-   problem (counted and logged E-LOAD-GONE), never the server's. *)
+(* The listening socket and every accepted connection are streams of
+   the same loop, each connection with its own outlet.  The loop
+   enforces [max_line] and [read_timeout_ms]; a connection closes only
+   once its conservation account is settled.  Runs until SIGTERM/SIGINT,
+   then answers typed drain rejections for lines already on the wire.
+   Always returns 0: a vanished client is that client's problem (counted
+   and logged E-LOAD-GONE), never the server's. *)
 let run_listen ?(config = default_config) ~addr () =
-  Atomic.set stop_flag false;
-  let config = { config with workers = max 1 config.workers } in
-  let st = make_state config in
   let listener = Transport.listen addr in
-  prewarm_registry ();
-  with_signals @@ fun () ->
-  let workers =
-    Array.init config.workers (fun slot -> Domain.spawn (worker st slot))
-  in
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let chunk = Bytes.create 4096 in
-  let seq = ref 0 in
-  let submit c line =
-    handle_line st ~outlet:c.c_outlet ~seq:!seq line;
-    incr seq
-  in
-  let refuse c r =
-    (* conservation for a refused line that never parsed: one owed,
-       typed terminal frame, then no more reads from this peer *)
-    owe c.c_outlet;
-    respond st c.c_outlet r;
-    c.c_stop_read <- true;
-    Mutex.lock c.c_outlet.ol_mu;
-    c.c_outlet.ol_eof <- true;
-    Mutex.unlock c.c_outlet.ol_mu
-  in
-  let refuse_oversize c bytes =
-    locked st (fun () ->
-        st.n.received <- st.n.received + 1;
-        st.n.invalid <- st.n.invalid + 1;
-        st.n.req_oversize <- st.n.req_oversize + 1);
-    refuse c
-      (Request.response ~id:""
-         ~reason:
-           (Printf.sprintf "request line exceeds the %d byte cap (%d buffered)"
-              config.max_line bytes)
-         ~error:
-           (Err.oversize
-              (Printf.sprintf
-                 "request line of %d bytes exceeds the per-connection cap of \
-                  %d"
-                 bytes config.max_line))
-         Request.Invalid)
-  in
-  let refuse_timeout c =
-    locked st (fun () ->
-        st.n.received <- st.n.received + 1;
-        st.n.invalid <- st.n.invalid + 1;
-        st.n.req_timeout <- st.n.req_timeout + 1);
-    refuse c
-      (Request.response ~id:""
-         ~reason:
-           (Printf.sprintf "read deadline (%d ms) expired with a partial \
-                            request buffered"
-              config.read_timeout_ms)
-         ~error:
-           (Err.timed_out
-              (Printf.sprintf
-                 "no complete request line within %d ms of the first partial \
-                  byte"
-                 config.read_timeout_ms))
-         Request.Invalid)
-  in
-  let note_events c events =
-    List.iter
-      (function
-        | Transport.Framing.Line l -> submit c l
-        | Transport.Framing.Oversize bytes -> refuse_oversize c bytes)
-      events;
-    c.c_partial_since <-
-      (if Transport.Framing.partial c.c_framer then
-         match c.c_partial_since with
-         | Some _ as t -> t
-         | None -> Some (Unix.gettimeofday ())
-       else None)
-  in
-  let conn_eof c ~broken =
-    c.c_stop_read <- true;
-    c.c_partial_since <- None;
-    (if not broken then
-       (* a final line without a trailing newline is still a request *)
-       match Transport.Framing.finish c.c_framer with
-       | Some l -> submit c l
-       | None -> ());
-    Mutex.lock c.c_outlet.ol_mu;
-    c.c_outlet.ol_eof <- true;
-    if broken then c.c_outlet.ol_dead <- true;
-    Mutex.unlock c.c_outlet.ol_mu
-  in
-  let accept_one () =
-    match Unix.accept ~cloexec:true listener with
-    | exception
-        Unix.Unix_error
-          ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-      ->
-      ()
-    | fd, _ ->
-      (* a peer that stops reading must stall its own responses, not a
-         worker domain forever: the outbuf makes every response write
-         nonblocking — kernel-refused tails are buffered and resumed
-         from this loop, and a peer that outgrows the tail cap is
-         declared gone (counted E-LOAD-GONE) *)
-      let ob = Transport.Outbuf.create fd in
-      locked st (fun () -> st.n.conns_accepted <- st.n.conns_accepted + 1);
-      Hashtbl.replace conns fd
-        {
-          c_fd = fd;
-          c_outlet = outlet (`Sock ob);
-          c_outbuf = ob;
-          c_framer = Transport.Framing.create ~max_line:config.max_line;
-          c_partial_since = None;
-          c_stop_read = false;
-        }
-  in
-  let handle_read c =
-    match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      (* the outbuf put the fd in nonblocking mode; a read raced empty *)
-      ()
-    | exception Unix.Unix_error _ -> conn_eof c ~broken:true
-    | 0 -> conn_eof c ~broken:false
-    | n -> note_events c (Transport.Framing.feed c.c_framer (Bytes.sub_string chunk 0 n))
-  in
-  (* the peer stopped reading and its buffered response tail outgrew the
-     cap, or the resumed write failed hard: charge the loss once *)
-  let outbuf_gone c =
-    Mutex.lock c.c_outlet.ol_mu;
-    let fresh = not c.c_outlet.ol_dead in
-    if fresh then c.c_outlet.ol_dead <- true;
-    Mutex.unlock c.c_outlet.ol_mu;
-    if fresh then begin
-      locked st (fun () -> st.n.client_gone <- st.n.client_gone + 1);
-      log_line
-        (Request.response_to_line
-           (Request.response ~id:""
-              ~reason:
-                "client connection gone with buffered response bytes \
-                 undelivered"
-              ~error:
-                (Err.gone
-                   "buffered response tail undeliverable: peer closed or \
-                    stopped reading")
-              Request.Error_crash))
-    end
-  in
-  let check_deadlines () =
-    if config.read_timeout_ms > 0 then begin
-      let now = Unix.gettimeofday () in
-      let limit = float_of_int config.read_timeout_ms /. 1000.0 in
-      Hashtbl.iter
-        (fun _ c ->
-          match c.c_partial_since with
-          | Some t0 when (not c.c_stop_read) && now -. t0 > limit ->
-            c.c_partial_since <- None;
-            refuse_timeout c
-          | _ -> ())
-        conns
-    end
-  in
-  (* close a connection only when its conservation account is settled:
-     the peer finished submitting (or died) and every owed terminal
-     response has been written (or charged to E-LOAD-GONE) *)
-  let sweep_closed () =
-    let closable =
-      Hashtbl.fold
-        (fun fd c acc ->
-          Mutex.lock c.c_outlet.ol_mu;
-          let close_now =
-            (c.c_stop_read || c.c_outlet.ol_dead)
-            && c.c_outlet.ol_pending = 0
-            (* every owed frame is answered, but its bytes may still sit
-               in the outbuf: hold the fd until the tail lands too *)
-            && ((not (Transport.Outbuf.pending c.c_outbuf))
-               || Transport.Outbuf.dead c.c_outbuf)
+  let clients = ref [] in
+  serving config (fun st loop ->
+      let seq = ref 0 in
+      Transport.Loop.listen loop listener ~on_accept:(fun fd ->
+          (* a peer that stops reading must stall its own responses, not
+             a worker domain: the outbuf makes every response write
+             nonblocking *)
+          let ob = Transport.Outbuf.create fd in
+          let o = outlet (`Sock ob) in
+          locked st (fun () -> st.n.conns_accepted <- st.n.conns_accepted + 1);
+          let c =
+            add_client st loop ~seq ~out:ob
+              ~read_timeout_ms:st.cfg.read_timeout_ms
+              ~on_gone:(fun () -> outbuf_gone st o)
+              o fd
           in
-          Mutex.unlock c.c_outlet.ol_mu;
-          if close_now then fd :: acc else acc)
-        conns []
-    in
-    List.iter
-      (fun fd ->
-        Hashtbl.remove conns fd;
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      closable
-  in
-  let rec loop () =
-    if not (Atomic.get stop_flag) then begin
-      let read_fds =
-        listener
-        :: Hashtbl.fold
-             (fun fd c acc -> if c.c_stop_read then acc else fd :: acc)
-             conns []
-      in
-      let write_fds =
-        Hashtbl.fold
-          (fun fd c acc ->
-            if Transport.Outbuf.pending c.c_outbuf then fd :: acc else acc)
-          conns []
-      in
-      (match Unix.select read_fds write_fds [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, writable, _ ->
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt conns fd with
-            | Some c -> (
-              match Transport.Outbuf.service c.c_outbuf with
-              | `Ok | `Buffered -> ()
-              | `Dead -> outbuf_gone c)
-            | None -> ())
-          writable;
-        List.iter
-          (fun fd ->
-            if fd == listener then accept_one ()
-            else
-              match Hashtbl.find_opt conns fd with
-              | Some c when not c.c_stop_read -> handle_read c
-              | _ -> ())
-          ready);
-      check_deadlines ();
-      sweep_closed ();
-      loop ()
-    end
-  in
-  loop ();
-  (* stopping: lines already in flight on the wire were submitted, so
-     one bounded non-blocking sweep gives them typed drain rejections
-     instead of silence (the stdio parity) *)
-  Hashtbl.iter
-    (fun _ c ->
-      if not c.c_stop_read then begin
-        (try Unix.set_nonblock c.c_fd with Unix.Unix_error _ -> ());
-        let budget = ref (1 lsl 20) in
-        let rec drain_reads () =
-          if !budget > 0 then
-            match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-            | exception Unix.Unix_error _ -> ()
-            | 0 -> ()
-            | n ->
-              budget := !budget - n;
-              List.iter
-                (function
-                  | Transport.Framing.Line l ->
-                    reject_drained st ~outlet:c.c_outlet l
-                  | Transport.Framing.Oversize _ -> ())
-                (Transport.Framing.feed c.c_framer (Bytes.sub_string chunk 0 n));
-              drain_reads ()
+          clients := (c, o) :: !clients);
+      (* close a connection only when the peer finished submitting (or
+         died), every owed terminal response is answered, and its bytes
+         have left the outbuf *)
+      let settled (c, o) =
+        Mutex.lock o.ol_mu;
+        let done_ =
+          ((not (Transport.Loop.reading c)) || o.ol_dead)
+          && o.ol_pending = 0
+          && not (Transport.Loop.pending c)
         in
-        drain_reads ();
-        (match Transport.Framing.finish c.c_framer with
-        | Some l -> reject_drained st ~outlet:c.c_outlet l
-        | None -> ());
-        c.c_stop_read <- true
-      end)
-    conns;
-  locked st (fun () ->
-      st.draining <- true;
-      Condition.broadcast st.cond);
-  Array.iter Domain.join workers;
-  (* the drain rejections above may have landed in outbufs: give the
-     buffered tails a bounded window to reach their peers *)
-  let flush_deadline = Unix.gettimeofday () +. 2.0 in
-  let rec flush_tails () =
-    let waiting =
-      Hashtbl.fold
-        (fun fd c acc ->
-          if Transport.Outbuf.pending c.c_outbuf then (fd, c) :: acc else acc)
-        conns []
-    in
-    if waiting <> [] && Unix.gettimeofday () < flush_deadline then begin
-      (match Unix.select [] (List.map fst waiting) [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | _, writable, _ ->
+        Mutex.unlock o.ol_mu;
+        done_
+      in
+      let sweep () =
+        let closing, open_ = List.partition settled !clients in
+        clients := open_;
         List.iter
-          (fun fd ->
-            match List.assoc_opt fd waiting with
-            | Some c -> (
-              match Transport.Outbuf.service c.c_outbuf with
-              | `Ok | `Buffered -> ()
-              | `Dead -> outbuf_gone c)
-            | None -> ())
-          writable);
-      flush_tails ()
-    end
-  in
-  flush_tails ();
-  Hashtbl.iter
-    (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-    conns;
+          (fun (c, _) ->
+            Transport.Loop.remove loop c;
+            try Unix.close (Transport.Loop.fd c) with Unix.Unix_error _ -> ())
+          closing
+      in
+      Transport.Loop.run loop ~tick:sweep ~until:Transport.Loop.stopping;
+      List.iter (fun (c, _) -> Transport.Loop.finish loop c) !clients);
+  List.iter
+    (fun (c, _) ->
+      try Unix.close (Transport.Loop.fd c) with Unix.Unix_error _ -> ())
+    !clients;
   (try Unix.close listener with Unix.Unix_error _ -> ());
   Transport.unlink_addr addr;
-  write_health_out st;
   0

@@ -34,8 +34,10 @@
        result is deliberately corrupted {e before} rendering, which is
        how the fuzz harness proves corrupted solutions cannot escape;}
     {- {b graceful drain}: SIGTERM/SIGINT (or end of input) finishes
-       in-flight and queued work, answers [rejected] to lines that were
-       read but not yet admitted, flushes, and returns 0;}
+       in-flight and queued work, answers [rejected] ([E-LOAD-DRAIN])
+       to lines that were read but not yet admitted and to lines already
+       readable on the input when the stop arrived, flushes, and returns
+       0;}
     {- {b byte-identity}: responses carry {!Jobs} renderings — the same
        strings a direct CLI run prints — and neither the artifact cache
        ({!Cache}) nor the incremental path changes them, warm or cold;}
@@ -81,11 +83,14 @@ type config = {
   read_timeout_ms : int;
       (** socket mode only: refuse a connection ([E-REQ-TIMEOUT]) that
           keeps a partial request line buffered for longer than this —
-          the slow-loris guard; 0 disables *)
+          the slow-loris guard; 0 disables.  Stdio input has no read
+          deadline *)
   max_line : int;
-      (** refuse request lines longer than this many bytes
-          ([E-REQ-OVERSIZE] on a socket, [invalid] on stdio); [<= 0]
-          leaves them unchecked *)
+      (** refuse the first request line longer than this many bytes with
+          an [invalid] frame typed [E-REQ-OVERSIZE] and stop reading
+          that stream — the connection on a socket, standard input (or
+          [--input]) on stdio, which then drains and returns; [<= 0]
+          leaves lines unchecked *)
   prepare_memo : int;
       (** capacity of the in-process memo of prepared (analysis-
           independent) artifacts, keyed like the disk cache — this is
@@ -120,18 +125,55 @@ val quarantined_response : Request.t -> Request.response
 
 val invalid_response : Request.parse_error -> Request.response
 
-val drained_response : id:string -> Request.response
+(** [reject_drained line emit] hands [emit] the typed [rejected]
+    ([E-LOAD-DRAIN]) frame owed to a request line that was read but
+    never admitted because a stop was signalled first; blank lines owe
+    nothing. *)
+val reject_drained : string -> (Request.response -> unit) -> unit
 
-(** Run the serve loop to completion (end of input, or a termination
-    signal).  Returns the process exit code: 0 after a clean drain,
-    {!Jobs.exit_input} when the response stream died (e.g. a broken
-    pipe).  Signal handlers are installed for the duration and restored
-    on return. *)
+(** The per-input circuit breaker, shared by the in-process worker pool
+    and the shard router.  [decide] answers [`Run probe] or [`Deny]
+    (counting the denial); [note ~crashed:true] charges one crash,
+    [note ~crashed:false] closes the breaker; [trip] opens it at once.
+    With [reset_after > 0] the breaker goes half-open after that many
+    denials and lets one probe through ([`Run true]); the router uses
+    [reset_after = 0], a plain crash count.  [threshold <= 0] disables
+    it.  Thread-safe. *)
+module Breaker : sig
+  type t
+
+  val create : threshold:int -> reset_after:int -> t
+  val decide : t -> string -> [ `Run of bool | `Deny ]
+  val note : t -> string -> crashed:bool -> unit
+  val trip : t -> string -> unit
+
+  (** A probe was shed before it ran: let the breaker probe again. *)
+  val release_probe : t -> string -> unit
+
+  (** (inputs quarantined, entries) *)
+  val counts : t -> int * int
+end
+
+(** Restart delay of a supervised slot's [restart]-th consecutive crash:
+    capped exponential backoff plus deterministic jitter, a pure
+    function of (seed, slot, restart).  Used for worker domains and
+    shard processes alike. *)
+val backoff_ms :
+  base:int -> cap:int -> seed:int -> slot:int -> restart:int -> int
+
+(** Run the serve loop to completion (end of input, an over-long line,
+    or a termination signal).  [input] is one connection of the
+    {!Transport.Loop} event loop, with the socket mode's line framing
+    and [max_line] cap; [output] stays a flushed channel, never switched
+    to [O_NONBLOCK].  Returns the process exit code: 0 after a clean
+    drain, {!Jobs.exit_input} when the response stream died (e.g. a
+    broken pipe).  Signal handlers are installed for the duration and
+    restored on return. *)
 val run :
   ?config:config -> input:Unix.file_descr -> output:out_channel -> unit -> int
 
 (** Serve over a listening socket ({!Transport.addr}) instead of stdio:
-    one connection manager accepts concurrent clients, frames their
+    the same event loop as {!run} accepts concurrent clients, frames their
     request lines, and feeds the same admission machinery and worker
     pool as {!run}; each response is written back on the connection that
     submitted its request.  Additional durability properties on top of

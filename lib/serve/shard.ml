@@ -1,16 +1,20 @@
 type t = {
-  sh_slot : int;
   sh_addr : Transport.addr;
-  mutable sh_pid : int;
-  mutable sh_fd : Unix.file_descr option;
+  sh_pid : int;
+  sh_fd : Unix.file_descr;
+  mutable sh_open : bool;
 }
 
-let slot t = t.sh_slot
 let pid t = t.sh_pid
-let addr t = t.sh_addr
 let fd t = t.sh_fd
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let close t =
+  if t.sh_open then begin
+    t.sh_open <- false;
+    close_quiet t.sh_fd
+  end
 
 let dead pid =
   match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -38,7 +42,7 @@ let rec connect_retry ~addr ~pid deadline =
       connect_retry ~addr ~pid deadline
     end
 
-let start ~binary ~addr ~slot ~args ~connect_timeout_ms =
+let start ~binary ~addr ~args ~connect_timeout_ms =
   let argv =
     Array.of_list
       (binary :: "serve" :: "--listen" :: Transport.addr_to_string addr :: args)
@@ -53,28 +57,13 @@ let start ~binary ~addr ~slot ~args ~connect_timeout_ms =
     Unix.gettimeofday () +. (float_of_int connect_timeout_ms /. 1000.0)
   in
   match connect_retry ~addr ~pid deadline with
-  | fd -> { sh_slot = slot; sh_addr = addr; sh_pid = pid; sh_fd = Some fd }
+  | fd -> { sh_addr = addr; sh_pid = pid; sh_fd = fd; sh_open = true }
   | exception e ->
     (if not (dead pid) then begin
        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
      end);
     raise e
-
-let rec write_all fd buf pos len =
-  if len > 0 then
-    match Unix.write fd buf pos len with
-    | n -> write_all fd buf (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
-
-let send t line =
-  match t.sh_fd with
-  | None -> false
-  | Some fd -> (
-    let b = Bytes.of_string (line ^ "\n") in
-    match write_all fd b 0 (Bytes.length b) with
-    | () -> true
-    | exception (Unix.Unix_error _ | Sys_error _) -> false)
 
 let reap ?(patience_ms = 5000) t =
   let deadline =
@@ -97,14 +86,12 @@ let reap ?(patience_ms = 5000) t =
   wait false
 
 let abandon t =
-  Option.iter close_quiet t.sh_fd;
-  t.sh_fd <- None;
+  close t;
   reap ~patience_ms:2000 t;
   Transport.unlink_addr t.sh_addr
 
 let terminate ?patience_ms t =
-  Option.iter close_quiet t.sh_fd;
-  t.sh_fd <- None;
+  close t;
   (try Unix.kill t.sh_pid Sys.sigterm with Unix.Unix_error _ -> ());
   reap ?patience_ms t;
   Transport.unlink_addr t.sh_addr

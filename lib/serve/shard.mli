@@ -10,12 +10,12 @@
 
 type t
 
-val slot : t -> int
 val pid : t -> int
-val addr : t -> Transport.addr
 
-(** The connected socket, while the shard is up. *)
-val fd : t -> Unix.file_descr option
+(** The connected socket (closed by {!abandon} and {!terminate}).  The
+    router writes requests to it through a {!Transport.Outbuf}, so a
+    stopped shard never blocks the router. *)
+val fd : t -> Unix.file_descr
 
 (** Spawn the worker process ([binary serve --listen ADDR args]) and
     connect to it, retrying the connect until the listener is up or
@@ -24,15 +24,9 @@ val fd : t -> Unix.file_descr option
 val start :
   binary:string ->
   addr:Transport.addr ->
-  slot:int ->
   args:string list ->
   connect_timeout_ms:int ->
   t
-
-(** Write one request line (newline appended).  [false] means the write
-    failed — the shard is dead or dying and the caller should run its
-    death protocol. *)
-val send : t -> string -> bool
 
 (** Tear down the connection and note the process gone; reaps the child
     (it is already dead when this is called on the EOF path, so the wait

@@ -152,8 +152,6 @@ module Outbuf = struct
       ob_dead = false;
     }
 
-  let fd t = t.ob_fd
-
   let locked t f =
     Mutex.lock t.ob_mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.ob_mu) f
@@ -209,4 +207,219 @@ module Outbuf = struct
   let pending t = locked t (fun () -> (not t.ob_dead) && Buffer.length t.ob_buf > 0)
 
   let dead t = locked t (fun () -> t.ob_dead)
+end
+
+module Loop = struct
+  (* Signal handlers may not allocate much and run on an arbitrary
+     domain: they only flip this flag; the loop polls it every tick. *)
+  let stop_flag = Atomic.make false
+  let stopping () = Atomic.get stop_flag
+
+  let with_signals f =
+    Atomic.set stop_flag false;
+    match Sys.os_type with
+    | "Unix" ->
+      let install s =
+        Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true))
+      in
+      let old_term = install Sys.sigterm in
+      let old_int = install Sys.sigint in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigterm old_term;
+          Sys.set_signal Sys.sigint old_int)
+        f
+    | _ -> f ()
+
+  type ending = Eof | Broken | Oversize of int | Timeout
+
+  type conn = {
+    c_fd : Unix.file_descr;
+    c_framer : Framing.t;
+    c_out : Outbuf.t option;
+    c_read_timeout : float;  (** seconds; 0 = no read deadline *)
+    c_on_line : string -> unit;
+    c_on_end : ending -> unit;
+    c_on_gone : unit -> unit;
+    mutable c_reading : bool;
+    mutable c_live : bool;  (** still registered with the loop *)
+    mutable c_partial_since : float option;
+        (** when the buffered partial line began — the read deadline's
+            clock, armed only while a line is pending *)
+  }
+
+  type t = {
+    mutable conns : conn list;
+    mutable listeners : (Unix.file_descr * (Unix.file_descr -> unit)) list;
+    chunk : Bytes.t;
+  }
+
+  let create () = { conns = []; listeners = []; chunk = Bytes.create 65536 }
+
+  let add t ?(max_line = 0) ?out ?(read_timeout_ms = 0) ?(on_gone = ignore)
+      ~on_line ~on_end fd =
+    let c =
+      {
+        c_fd = fd;
+        c_framer = Framing.create ~max_line;
+        c_out = out;
+        c_read_timeout = float_of_int (max 0 read_timeout_ms) /. 1000.0;
+        c_on_line = on_line;
+        c_on_end = on_end;
+        c_on_gone = on_gone;
+        c_reading = true;
+        c_live = true;
+        c_partial_since = None;
+      }
+    in
+    t.conns <- c :: t.conns;
+    c
+
+  let remove t c =
+    c.c_live <- false;
+    c.c_reading <- false;
+    t.conns <- List.filter (fun c' -> c' != c) t.conns
+
+  let listen t fd ~on_accept = t.listeners <- (fd, on_accept) :: t.listeners
+  let fd c = c.c_fd
+  let reading c = c.c_reading
+
+  let pending c =
+    match c.c_out with Some ob -> Outbuf.pending ob | None -> false
+
+  let send c frame =
+    match c.c_out with
+    | Some ob -> Outbuf.write ob frame <> `Dead
+    | None -> false
+
+  (* The serving layer's only select.  An interrupted wait reports
+     nothing ready: the loop just runs its next round, and a drain
+     stops early (what it left unread was never submitted). *)
+  let select reads writes timeout =
+    match Unix.select reads writes [] timeout with
+    | r, w, _ -> (r, w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+
+  let stop_reading c why =
+    if c.c_reading then begin
+      c.c_reading <- false;
+      c.c_partial_since <- None;
+      (* a final line without a trailing newline is still a line *)
+      (if why = Eof then
+         match Framing.finish c.c_framer with
+         | Some l -> c.c_on_line l
+         | None -> ());
+      c.c_on_end why
+    end
+
+  let feed c bytes =
+    List.iter
+      (function
+        | Framing.Line l -> c.c_on_line l
+        | Framing.Oversize n -> stop_reading c (Oversize n))
+      (Framing.feed c.c_framer bytes);
+    c.c_partial_since <-
+      (if c.c_reading && Framing.partial c.c_framer then
+         match c.c_partial_since with
+         | Some _ as since -> since
+         | None -> Some (Unix.gettimeofday ())
+       else None)
+
+  (* One read from a readable fd.  [false] when nothing more will come
+     from it this round. *)
+  let read_once t c =
+    match Unix.read c.c_fd t.chunk 0 (Bytes.length t.chunk) with
+    | 0 ->
+      stop_reading c Eof;
+      false
+    | n ->
+      feed c (Bytes.sub_string t.chunk 0 n);
+      true
+    | exception
+        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      false
+    | exception Unix.Unix_error _ ->
+      stop_reading c Broken;
+      false
+
+  let service c =
+    match c.c_out with
+    | Some ob -> (
+      match Outbuf.service ob with
+      | `Dead -> c.c_on_gone ()
+      | `Ok | `Buffered -> ())
+    | None -> ()
+
+  let accept fd on_accept =
+    match Unix.accept ~cloexec:true fd with
+    | peer, _ -> on_accept peer
+    | exception
+        Unix.Unix_error
+          ( ( Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK ),
+            _,
+            _ ) ->
+      ()
+
+  let step t ~timeout =
+    let now = Unix.gettimeofday () in
+    List.iter
+      (fun c ->
+        match c.c_partial_since with
+        | Some t0 when c.c_read_timeout > 0.0 && now -. t0 > c.c_read_timeout
+          ->
+          stop_reading c Timeout
+        | _ -> ())
+      t.conns;
+    let readers = List.filter (fun c -> c.c_reading) t.conns in
+    let writers = List.filter pending t.conns in
+    let ready, writable =
+      select
+        (List.map fst t.listeners @ List.map (fun c -> c.c_fd) readers)
+        (List.map (fun c -> c.c_fd) writers)
+        timeout
+    in
+    List.iter
+      (fun c -> if c.c_live && List.mem c.c_fd writable then service c)
+      writers;
+    List.iter
+      (fun (fd, on_accept) -> if List.mem fd ready then accept fd on_accept)
+      t.listeners;
+    List.iter
+      (fun c ->
+        if c.c_reading && List.mem c.c_fd ready then ignore (read_once t c))
+      readers
+
+  let rec run t ~tick ~until =
+    if not (until ()) then begin
+      step t ~timeout:0.05;
+      tick ();
+      run t ~tick ~until
+    end
+
+  (* At most 16 chunks (1 MiB): a peer that keeps writing cannot hold
+     a drain open. *)
+  let drain t c =
+    let rec go reads =
+      if reads > 0 && c.c_reading then
+        match select [ c.c_fd ] [] 0.0 with
+        | [], _ -> ()
+        | _ -> if read_once t c then go (reads - 1)
+    in
+    go 16
+
+  let finish t c =
+    drain t c;
+    stop_reading c Eof
+
+  let flush t ~within =
+    let deadline = Unix.gettimeofday () +. within in
+    let rec go () =
+      let writers = List.filter pending t.conns in
+      if writers <> [] && Unix.gettimeofday () < deadline then begin
+        let _, writable = select [] (List.map (fun c -> c.c_fd) writers) 0.05 in
+        List.iter (fun c -> if List.mem c.c_fd writable then service c) writers;
+        go ()
+      end
+    in
+    go ()
 end

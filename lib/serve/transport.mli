@@ -1,13 +1,14 @@
-(** Socket transport for the serving layer: address notation, listener
-    and client-connection setup, and the per-connection line framing the
-    listener's defenses hang off.
+(** Transport for the serving layer: address notation, listener and
+    client-connection setup, the per-connection line framing and write
+    buffering, and the one event loop ({!Loop}) that stdio serve, socket
+    serve and the shard router all run on.
 
     Addresses are written [unix:PATH] (a filesystem socket) or
     [tcp:HOST:PORT]; a bare string containing [/] is taken as a Unix
     socket path.  The framing splits a byte stream into
     newline-delimited request lines while enforcing a per-line length
     cap: the first line to exceed it poisons the framer (one
-    {!Framing.Oversize} event, then silence), which the listener turns
+    {!Framing.Oversize} event, then silence), which the server turns
     into a structured [E-REQ-OVERSIZE] refusal and a close — buffering
     an unbounded line for a client that never sends a newline is exactly
     the slow-loris memory attack the cap exists to stop. *)
@@ -72,8 +73,6 @@ module Outbuf : sig
       [O_NONBLOCK]).  [cap] bounds the buffered tail in bytes. *)
   val create : ?cap:int -> Unix.file_descr -> t
 
-  val fd : t -> Unix.file_descr
-
   (** Append one whole frame and push as much as the kernel accepts.
       [`Ok] = fully written, [`Buffered] = a tail remains (watch the fd
       for writability and call {!service}), [`Dead] = the peer is gone
@@ -89,4 +88,83 @@ module Outbuf : sig
   val pending : t -> bool
 
   val dead : t -> bool
+end
+
+(** The serving layer's one event loop: stdio serve, socket serve and
+    the shard router all run on it.  A connection is an fd with a
+    {!Framing} reader, an optional {!Outbuf} writer, and callbacks for
+    its lines and for the end of its input.  One select with a 50 ms
+    tick waits on every reading connection, every listener and every
+    connection with a buffered write tail; EINTR and EAGAIN are empty
+    rounds.  The loop never switches an fd to [O_NONBLOCK] itself (only
+    {!Outbuf.create} does), so stdin and stdout stay as the shell left
+    them. *)
+module Loop : sig
+  type t
+  type conn
+
+  (** Why a connection stopped reading.  [Eof] delivers a trailing
+      unterminated line to [on_line] first; [Oversize] and [Timeout] are
+      the {!Framing} cap and the read deadline. *)
+  type ending = Eof | Broken | Oversize of int | Timeout
+
+  val create : unit -> t
+
+  (** Register a connection.  [max_line] caps its lines (see
+      {!Framing.create}); [read_timeout_ms > 0] ends it with [Timeout]
+      when a partial line stays buffered that long; [out] is serviced
+      whenever the fd turns writable, and [on_gone] runs when that
+      finds the peer dead.  [on_end] runs exactly once, when reading
+      stops for any reason other than {!remove}. *)
+  val add :
+    t ->
+    ?max_line:int ->
+    ?out:Outbuf.t ->
+    ?read_timeout_ms:int ->
+    ?on_gone:(unit -> unit) ->
+    on_line:(string -> unit) ->
+    on_end:(ending -> unit) ->
+    Unix.file_descr ->
+    conn
+
+  (** Forget a connection without calling [on_end] (the fd stays
+      open). *)
+  val remove : t -> conn -> unit
+
+  (** Accept connections on a listening socket, handing each accepted
+      fd to [on_accept]. *)
+  val listen :
+    t -> Unix.file_descr -> on_accept:(Unix.file_descr -> unit) -> unit
+
+  val fd : conn -> Unix.file_descr
+  val reading : conn -> bool
+
+  (** A write tail is buffered for a live peer. *)
+  val pending : conn -> bool
+
+  (** Append one frame to the connection's {!Outbuf}; [false] when it
+      has none or the peer is gone. *)
+  val send : conn -> string -> bool
+
+  (** Run rounds until [until ()] holds, calling [tick] after each. *)
+  val run : t -> tick:(unit -> unit) -> until:(unit -> bool) -> unit
+
+  (** Deliver what the connection has readable right now (at most
+      1 MiB), without blocking and without ending it. *)
+  val drain : t -> conn -> unit
+
+  (** {!drain}, then end the connection with [Eof] — the graceful stop
+      of a client stream. *)
+  val finish : t -> conn -> unit
+
+  (** Service buffered write tails until none remain or [within]
+      seconds pass. *)
+  val flush : t -> within:float -> unit
+
+  (** Install SIGTERM/SIGINT handlers that raise the stop flag (cleared
+      on entry) for the duration of the callback, then restore the
+      previous handlers. *)
+  val with_signals : (unit -> 'a) -> 'a
+
+  val stopping : unit -> bool
 end

@@ -233,16 +233,23 @@ let analyze_line ~id ~suite =
     (Json.Obj
        [ ("id", Json.Str id); ("op", Json.Str "analyze"); ("suite", Json.Str suite) ])
 
-let run_server ?(config = Server.default_config) lines =
-  let dir = tmp_dir "run" in
-  let in_path = Filename.concat dir "in.jsonl" in
-  write_file in_path (String.concat "\n" lines ^ "\n");
-  let out_path = Filename.concat dir "out.jsonl" in
-  let fd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+(* Run the stdio server over [input] (closed afterwards); returns the
+   exit code and the raw response stream. *)
+let run_server_fd ~config input =
+  let out_path = Filename.concat (tmp_dir "run") "out.jsonl" in
   let oc = open_out_bin out_path in
-  let code = Server.run ~config ~input:fd ~output:oc () in
-  Unix.close fd;
+  let code = Server.run ~config ~input ~output:oc () in
+  Unix.close input;
   close_out oc;
+  (code, read_file out_path)
+
+let run_server_raw ?(config = Server.default_config) lines =
+  let in_path = Filename.concat (tmp_dir "in") "in.jsonl" in
+  write_file in_path (String.concat "\n" lines ^ "\n");
+  run_server_fd ~config (Unix.openfile in_path [ Unix.O_RDONLY ] 0)
+
+let run_server ?config lines =
+  let code, out = run_server_raw ?config lines in
   let responses =
     List.filter_map
       (fun l ->
@@ -251,7 +258,7 @@ let run_server ?(config = Server.default_config) lines =
           match Request.response_of_line l with
           | Ok r -> Some r
           | Error e -> Alcotest.fail (Printf.sprintf "bad frame %S: %s" l e))
-      (String.split_on_char '\n' (read_file out_path))
+      (String.split_on_char '\n' out)
   in
   (code, responses)
 
@@ -1464,10 +1471,12 @@ let test_outbuf_dead_peer_latches () =
   Unix.close a;
   Unix.close b
 
-(* Satellite: an EINTR storm (a repeating no-op SIGALRM) must not lose
-   or double-answer a single request, on stdio or on a socket.  This is
-   the in-process half of the coverage; tools/fuzz --serve-gray runs
-   the same storm against real subprocesses. *)
+(* An EINTR storm (a repeating no-op SIGALRM) must not lose or
+   double-answer a single request, on stdio or on a socket — and since
+   both modes run the same event loop, the same lines at one worker
+   must come back as byte-identical streams.  This is the in-process
+   half of the coverage; tools/fuzz --serve-gray runs the same storm
+   against real subprocesses. *)
 let test_eintr_storm_conservation () =
   let old_handler =
     Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ()))
@@ -1488,9 +1497,14 @@ let test_eintr_storm_conservation () =
       let lines =
         List.map (fun id -> analyze_line ~id ~suite:"adm") ids
       in
-      let config = { Server.default_config with workers = 2 } in
-      let code, responses = run_server ~config lines in
+      let config = { Server.default_config with workers = 1 } in
+      let code, stdio_out = run_server_raw ~config lines in
       check Alcotest.int "stdio: clean exit under storm" 0 code;
+      let responses =
+        List.filter_map
+          (fun l -> Result.to_option (Request.response_of_line l))
+          (String.split_on_char '\n' stdio_out)
+      in
       List.iter
         (fun id ->
           check Alcotest.int (id ^ " answered exactly once") 1
@@ -1502,7 +1516,7 @@ let test_eintr_storm_conservation () =
       (* socket server under the storm *)
       let dir = tmp_dir "eintr-listen" in
       let addr = Transport.Unix_sock (Filename.concat dir "s.sock") in
-      let srv = Domain.spawn (fun () -> Server.run_listen ~addr ()) in
+      let srv = Domain.spawn (fun () -> Server.run_listen ~config ~addr ()) in
       let rec connect_retry tries =
         match Transport.connect addr with
         | fd -> fd
@@ -1511,12 +1525,7 @@ let test_eintr_storm_conservation () =
           connect_retry (tries - 1)
       in
       let fd = connect_retry 250 in
-      let n_req = 20 in
-      let payload =
-        String.concat ""
-          (List.init n_req (fun i ->
-               Printf.sprintf {|{"id":"s%02d","op":"ping"}|} i ^ "\n"))
-      in
+      let payload = String.concat "\n" lines ^ "\n" in
       let b = Bytes.of_string payload in
       let pos = ref 0 in
       while !pos < Bytes.length b do
@@ -1537,25 +1546,39 @@ let test_eintr_storm_conservation () =
       in
       drain ();
       Unix.close fd;
-      let frames =
-        List.filter
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' (Buffer.contents got))
-      in
-      check Alcotest.int "socket: one frame per request under storm" n_req
-        (List.length frames);
-      List.iteri
-        (fun i l ->
-          match Request.response_of_line l with
-          | Ok r ->
-            check Alcotest.string
-              (Printf.sprintf "socket frame %d id" i)
-              (Printf.sprintf "s%02d" i) r.Request.rs_id
-          | Error e -> Alcotest.fail ("bad frame under storm: " ^ e))
-        frames;
+      check Alcotest.string "socket stream byte-identical to stdio" stdio_out
+        (Buffer.contents got);
       Unix.kill (Unix.getpid ()) Sys.sigterm;
       let code = Domain.join srv in
       check Alcotest.int "listener: clean exit under storm" 0 code)
+
+(* Stdin enforces [max_line] like a socket does: the over-long line is
+   refused with exactly one typed invalid frame, never executed. *)
+let test_stdio_max_line () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let line =
+    Printf.sprintf {|{"id":"a","op":"ping","pad":"%s"}|} (String.make 300 'x')
+    ^ "\n"
+  in
+  ignore (Unix.write_substring w line 0 (String.length line));
+  Unix.close w;
+  let config = { Server.default_config with max_line = 64 } in
+  let code, out = run_server_fd ~config r in
+  check Alcotest.int "clean exit" 0 code;
+  let frames =
+    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' out)
+  in
+  match frames with
+  | [ frame ] -> (
+    match Request.response_of_line frame with
+    | Ok r ->
+      check Alcotest.string "status" "invalid"
+        (Request.status_name r.rs_status);
+      check Alcotest.(option string) "typed" (Some "E-REQ-OVERSIZE")
+        (Option.map (fun (e : Err.t) -> e.e_code) r.rs_error)
+    | Error e -> Alcotest.fail ("bad frame: " ^ e))
+  | frames ->
+    Alcotest.fail (Printf.sprintf "%d frames, expected 1" (List.length frames))
 
 (* The server side of degradation: with the disk chaos armed, every
    request still answers [ok]; the health snapshot admits the cache is
@@ -1659,4 +1682,5 @@ let suite =
     ("serve outbuf latches dead peer", `Quick, test_outbuf_dead_peer_latches);
     ("serve EINTR storm conservation", `Slow, test_eintr_storm_conservation);
     ("serve cacheless degradation", `Quick, test_cacheless_degradation);
+    ("serve stdio enforces max-line", `Quick, test_stdio_max_line);
   ]

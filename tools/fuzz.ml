@@ -1554,6 +1554,33 @@ let contains_sub ~sub s =
    flight behind the terminal answers. *)
 let read_n_frames sp n = List.init n (fun _ -> input_line sp.sp_recv)
 
+(* Read up to [n] frames from [fd] until [deadline] (absolute time) —
+   a router that wedges yields fewer frames instead of hanging the
+   harness.  Reads the raw fd, so the process's in_channel must not
+   have buffered anything yet. *)
+let read_frames_until fd ~deadline n =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let complete () =
+    match List.rev (String.split_on_char '\n' (Buffer.contents buf)) with
+    | _partial :: lines -> List.rev lines
+    | [] -> []
+  in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if List.length (complete ()) >= n || left <= 0.0 then complete ()
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> go ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> complete ()
+        | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          go ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
 let run_serve_gray () =
   if !ipcp_bin = "" then begin
     Fmt.epr "--serve-gray needs --ipcp PATH@.";
@@ -1799,11 +1826,91 @@ let run_serve_gray () =
   let code, out = finish_server sp in
   if code <> 0 then err "eintr: router exited %d" code;
   check_identity ~label:"eintr" (nonempty_lines out);
+  (* ---- gate 5: a stopped shard must not wedge the router ----
+     The only shard is SIGSTOPped, then it is sent a 512 KiB request
+     (under the shard's 1 MiB line cap, over the socket buffers) and a
+     ping.  Shard writes go through the router's nonblocking outbuf, so
+     heartbeats keep firing: the shard is ejected, both requests are
+     re-routed to its respawned successor, and both frames arrive
+     within the bound.  A blocking write would hang here for good. *)
+  let wedge_bound = 10.0 in
+  let pids_path = Filename.concat dir "wedge-pids" in
+  let sp =
+    start_router
+      [| "--shards"; "1"; "--heartbeat-ms"; "200"; "--heartbeat-misses"; "2";
+         "--shard-pids"; pids_path |]
+  in
+  let recv_within secs n =
+    read_frames_until
+      (Unix.descr_of_in_channel sp.sp_recv)
+      ~deadline:(Unix.gettimeofday () +. secs)
+      n
+  in
+  let ping_line ~id =
+    Json.to_string (Json.Obj [ ("id", Json.Str id); ("op", Json.Str "ping") ])
+  in
+  submit sp (ping_line ~id:"w0");
+  if List.length (recv_within 10.0 1) <> 1 then
+    err "wedge: warm-up ping unanswered";
+  let victim_pid =
+    match shard_pids pids_path with
+    | pid :: _ ->
+      Unix.kill pid Sys.sigstop;
+      Some pid
+    | [] ->
+      err "wedge: no shard pid written";
+      None
+  in
+  let big =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str "w-big"); ("op", Json.Str "analyze");
+           ("suite", Json.Str "adm");
+           ("pad", Json.Str (String.make (512 * 1024) 'x')) ])
+  in
+  submit sp big;
+  submit sp (ping_line ~id:"w-ping");
+  let frames = recv_within wedge_bound 2 in
+  let statuses =
+    List.sort compare
+      (List.filter_map
+         (fun f ->
+           match SReq.response_of_line f with
+           | Ok r -> Some (r.rs_id, SReq.status_name r.rs_status)
+           | Error _ -> None)
+         frames)
+  in
+  if statuses <> [ ("w-big", "ok"); ("w-ping", "ok") ] then begin
+    err "wedge: %d of 2 frames ok within %.0f s of a stopped shard — the \
+         router is blocked writing to it"
+      (List.length (List.filter (fun (_, s) -> s = "ok") statuses))
+      wedge_bound;
+    (* a wedged router never drains: kill it and its stopped shard *)
+    Option.iter
+      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      victim_pid;
+    (try Unix.kill sp.sp_pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (finish_server sp)
+  end
+  else begin
+    submit sp (health_line ~id:"hw");
+    (match recv_within 10.0 1 with
+    | [ f ] -> (
+      match SReq.response_of_line f with
+      | Ok { rs_health = Some doc; _ } -> (
+        match counter_of doc "router.ejections" with
+        | Some n when n >= 1 -> ()
+        | _ -> err "wedge: router.ejections did not record the ejection")
+      | _ -> err "wedge: health frame unparseable or empty")
+    | _ -> err "wedge: health request unanswered");
+    let code, _ = finish_server sp in
+    if code <> 0 then err "wedge: router exited %d" code
+  end;
   if !failures = 0 then begin
     Fmt.pr
       "serve-gray: stall/hedge identity (shards 1/2/4), heartbeat \
-       ejection, cacheless disk degradation and EINTR-storm gates all \
-       passed@.";
+       ejection, cacheless disk degradation, EINTR-storm and \
+       stopped-shard gates all passed@.";
     0
   end
   else begin
