@@ -86,6 +86,63 @@ grep -q "Table 3" "$tmpdir/starved.out" || {
   exit 1
 }
 
+echo "== linear stages 1-2"
+# Complexity is gated on deterministic work counters, not clocks: on
+# generated (acyclic) programs of 500 and 1000 procedures, stages 1-2
+# build at most one IR per procedure, and prepare walks the whole
+# program the same number of times at both sizes.
+counter() {
+  sed -n "s/^ *\"$1\": \([0-9]*\).*/\1/p" "$2"
+}
+walks=""
+for n in 500 1000; do
+  dune exec --no-build -- ipcp generate --procs=$n --seed=3 > "$tmpdir/gen$n.f"
+  dune exec --no-build -- ipcp analyze "$tmpdir/gen$n.f" \
+    --profile-json "$tmpdir/gen$n.json" > /dev/null
+  procs=$(grep -cE '^ *(program|subroutine|[a-z]* *function) ' "$tmpdir/gen$n.f")
+  builds=$(counter jf.build_ir "$tmpdir/gen$n.json")
+  w=$(counter driver.program_walks "$tmpdir/gen$n.json")
+  echo "-- $n: $procs procs, $builds IR builds, $w program walks"
+  if [ -z "$builds" ] || [ -z "$w" ] || [ "$builds" -gt "$procs" ]; then
+    echo "linear: generated $n: jf.build_ir '$builds' for $procs procedures," \
+      "driver.program_walks '$w'" >&2
+    exit 1
+  fi
+  if [ -n "$walks" ] && [ "$w" != "$walks" ]; then
+    echo "linear: driver.program_walks grew from $walks to $w with program size" >&2
+    exit 1
+  fi
+  walks=$w
+done
+# A 20000-procedure call chain analyzes under a hang guard: every
+# parameter of the chain is the constant 7, and the output does not
+# depend on the number of worker domains.
+awk -v n=20000 'BEGIN {
+  print "program chmain\n  integer k\n  k = 7\n  call p1(k)\nend"
+  for (i = 1; i <= n; i++) {
+    printf "subroutine p%d(a)\n  integer a\n", i
+    if (i < n) printf "  call p%d(a)\n", i + 1
+    print "  print *, a\nend"
+  }
+}' > "$tmpdir/chain.f"
+awk -v n=20000 'BEGIN { for (i = 1; i <= n; i++) printf "p%d: a=7\n", i }' \
+  > "$tmpdir/chain.expected"
+for j in 1 2; do
+  timeout 60 dune exec --no-build -- ipcp analyze "$tmpdir/chain.f" --jobs $j \
+    > "$tmpdir/chain.jobs$j.out"
+done
+sed -n '/^--- CONSTANTS sets$/,/^--- /p' "$tmpdir/chain.jobs1.out" \
+  | grep -v '^--- ' > "$tmpdir/chain.constants"
+if ! cmp -s "$tmpdir/chain.expected" "$tmpdir/chain.constants"; then
+  echo "linear: the chain's CONSTANTS differ from the analytic sets" >&2
+  diff "$tmpdir/chain.expected" "$tmpdir/chain.constants" | head >&2 || true
+  exit 1
+fi
+if ! cmp -s "$tmpdir/chain.jobs1.out" "$tmpdir/chain.jobs2.out"; then
+  echo "linear: chain output differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+fi
+
 echo "== certification"
 # The independent certifier re-checks every suite program at the paper's
 # default configuration: fixpoint per call edge, entry seeding, MOD

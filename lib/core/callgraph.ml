@@ -24,6 +24,8 @@ type t = {
   out_edges : (string, edge list) Hashtbl.t;
   in_edges : (string, edge list) Hashtbl.t;
   sccs : string list list;  (** reverse topological: callees before callers *)
+  cyclic : (string, unit) Hashtbl.t;
+      (** members of a recursive cycle: a self-loop or a larger SCC *)
 }
 
 let build (prog : Prog.t) : t =
@@ -86,9 +88,18 @@ let build (prog : Prog.t) : t =
     end
   in
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
+  let cyclic = Hashtbl.create 16 in
+  List.iter
+    (function
+      | [ single ] ->
+        let self_loop e = e.e_callee = single in
+        if List.exists self_loop (Hashtbl.find out_edges single) then
+          Hashtbl.replace cyclic single ()
+      | many -> List.iter (fun n -> Hashtbl.replace cyclic n ()) many)
+    !sccs;
   (* !sccs currently has later-finished (callers) first; reverse for
      bottom-up order. *)
-  { prog; nodes; edges; out_edges; in_edges; sccs = List.rev !sccs }
+  { prog; nodes; edges; out_edges; in_edges; sccs = List.rev !sccs; cyclic }
 
 let callees_of t name = Hashtbl.find_opt t.out_edges name |> Option.value ~default:[]
 
@@ -102,15 +113,7 @@ let bottom_up t = List.concat t.sccs
 let top_down t = List.rev (bottom_up t)
 
 (** Is [name] part of a recursive cycle (self-loop or larger SCC)? *)
-let in_cycle t name =
-  List.exists
-    (fun scc ->
-      match scc with
-      | [ single ] ->
-        single = name
-        && List.exists (fun e -> e.e_callee = name) (callees_of t name)
-      | many -> List.mem name many && List.length many > 1)
-    t.sccs
+let in_cycle t name = Hashtbl.mem t.cyclic name
 
 (** Procedures reachable from the main program. *)
 let reachable_from_main t =

@@ -16,6 +16,7 @@ type t = {
   out_edges : (string, edge list) Hashtbl.t;
   in_edges : (string, edge list) Hashtbl.t;
   sccs : string list list;  (** reverse topological: callees first *)
+  cyclic : (string, unit) Hashtbl.t;  (** see {!in_cycle} *)
 }
 
 val build : Prog.t -> t

@@ -62,6 +62,8 @@ type stage12 = {
 type artifacts = {
   a_prog : Prog.t;
   a_cg : Callgraph.t;
+  a_cx : Jump_function.context;
+      (** built eagerly, not [Lazy]: artifacts cross domains *)
   a_modref : Modref.t Lazy.t;  (** computed MOD summaries *)
   a_worst : Modref.t Lazy.t;  (** worst-case call kills *)
   a_global_keys : string list;
@@ -71,18 +73,31 @@ type artifacts = {
       (** previous-round artifacts + per-procedure reusability (Complete) *)
 }
 
+(* The one whole-program walk of stages 1-2, counted so that a gate can
+   check it does not grow with the program. *)
+let context prog =
+  Telemetry.incr "driver.program_walks";
+  Jump_function.context prog
+
+let assemble ?reuse prog cg ~modref ~worst =
+  let cx = context prog in
+  {
+    a_prog = prog;
+    a_cg = cg;
+    a_cx = cx;
+    a_modref = modref;
+    a_worst = worst;
+    a_global_keys = List.map Prog.global_key cx.cx_globals;
+    a_stages = Hashtbl.create 4;
+    a_reuse = reuse;
+  }
+
 let prepare_with ?reuse (prog : Prog.t) : artifacts =
   Telemetry.span "prepare" (fun () ->
       let cg = Callgraph.build prog in
-      {
-        a_prog = prog;
-        a_cg = cg;
-        a_modref = lazy (Modref.compute cg);
-        a_worst = lazy (Modref.worst_case cg);
-        a_global_keys = List.map Prog.global_key (Prog.all_globals prog);
-        a_stages = Hashtbl.create 4;
-        a_reuse = reuse;
-      })
+      assemble ?reuse prog cg
+        ~modref:(lazy (Modref.compute cg))
+        ~worst:(lazy (Modref.worst_case cg)))
 
 let prepare prog = prepare_with prog
 
@@ -113,11 +128,13 @@ let prepare_reusing ~prev ~unchanged prog =
 (* Artifact (de)serialization.
 
    Only the closure-free prefix travels: the resolved program, the call
-   graph, both MOD variants (forced) and the global keys.  Stage-1/2
-   bundles embed oracle closures, so they are rebuilt on demand after a
-   round trip — [solve] over deserialized artifacts therefore produces
-   byte-identical results to [solve (prepare prog)], it merely re-runs
-   the cheap config-dependent stages.  The payload is [Marshal]-based
+   graph and both MOD variants (forced).  Decoding rebuilds the IR
+   context (procedure index, globals, expression-id ceiling) with one
+   walk of the program.  Stage-1/2 bundles embed oracle closures, so they
+   are rebuilt on demand after a round trip — [solve] over deserialized
+   artifacts therefore produces byte-identical results to
+   [solve (prepare prog)], it merely re-runs the cheap config-dependent
+   stages.  The payload is [Marshal]-based
    and build-specific: callers must pair it with an integrity check
    (the serve layer's artifact cache adds a checksum header and a build
    fingerprint) and treat [artifacts_of_string] as a cache miss, never
@@ -128,7 +145,6 @@ type portable = {
   p_cg : Callgraph.t;
   p_modref : Modref.t;
   p_worst : Modref.t;
-  p_global_keys : string list;
 }
 
 let artifacts_to_string (a : artifacts) : string =
@@ -139,7 +155,6 @@ let artifacts_to_string (a : artifacts) : string =
       p_cg = a.a_cg;
       p_modref = Lazy.force a.a_modref;
       p_worst = Lazy.force a.a_worst;
-      p_global_keys = a.a_global_keys;
     }
     []
 
@@ -149,15 +164,8 @@ let artifacts_of_string (s : string) : artifacts option =
   | p ->
     Telemetry.incr "driver.artifacts_deserialized";
     Some
-      {
-        a_prog = p.p_prog;
-        a_cg = p.p_cg;
-        a_modref = Lazy.from_val p.p_modref;
-        a_worst = Lazy.from_val p.p_worst;
-        a_global_keys = p.p_global_keys;
-        a_stages = Hashtbl.create 4;
-        a_reuse = None;
-      }
+      (assemble p.p_prog p.p_cg ~modref:(Lazy.from_val p.p_modref)
+         ~worst:(Lazy.from_val p.p_worst))
 
 (* ------------------------------------------------------------------ *)
 (* Stages 1 and 2, per (use_mod × return_jfs) variant.                 *)
@@ -247,39 +255,47 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
     | Some (_, prev_stage, _) -> (prev_stage.sg_ret_jfs, prev_stage.sg_irs)
     | None -> (Hashtbl.create 0, Hashtbl.create 0)
   in
+  let oracle =
+    if key.sk_return_jfs then Some (Jump_function.oracle_of_table ret_jfs)
+    else None
+  in
+  let build name =
+    Jump_function.build_ir ?oracle ~modref a.a_cx
+      (Prog.indexed_proc_exn a.a_cx.cx_procs name)
+  in
+  let irs : (string, Jump_function.proc_ir) Hashtbl.t = Hashtbl.create 16 in
   (* ---- stage 1: return jump functions, bottom-up ---- *)
   Telemetry.span "stage1:return_jfs" (fun () ->
-      if key.sk_return_jfs then begin
-        let oracle = Jump_function.oracle_of_table ret_jfs in
+      if key.sk_return_jfs then
         List.iter
           (fun name ->
             if not (classify name && copy_seeded ret_jfs prev_ret_jfs name)
-            then
-              let proc = Prog.find_proc_exn a.a_prog name in
-              let ir = Jump_function.build_ir ~oracle ~modref a.a_prog proc in
+            then begin
+              let ir = build name in
               Hashtbl.replace ret_jfs name
-                (Jump_function.build_ret_jf ~modref ir))
+                (Jump_function.build_ret_jf ~modref ir);
+              (* Outside a recursive cycle every callee's entry is already
+                 in the table, and the oracle reads the table when it
+                 evaluates, so this IR is the one stage 2 would build.  A
+                 cycle member's value memo may hold call results computed
+                 before a cycle-mate's entry existed: stage 2 rebuilds
+                 it. *)
+              if not (Callgraph.in_cycle a.a_cg name) then
+                Hashtbl.replace irs name ir
+            end)
           (Callgraph.bottom_up a.a_cg)
-      end
       else
         (* no stage-1 values in this variant; classify bottom-up so that
            stage 2 below can still copy unchanged IRs *)
         List.iter
           (fun name -> ignore (classify name))
           (Callgraph.bottom_up a.a_cg));
-  (* ---- stage 2: per-procedure IR, top-down ---- *)
-  let oracle =
-    if key.sk_return_jfs then Some (Jump_function.oracle_of_table ret_jfs)
-    else None
-  in
-  let irs : (string, Jump_function.proc_ir) Hashtbl.t = Hashtbl.create 16 in
+  (* ---- stage 2: the IRs stage 1 did not keep, top-down ---- *)
   Telemetry.span "stage2:forward_jfs" (fun () ->
       List.iter
         (fun name ->
-          if not (copy_seeded irs prev_irs name) then
-            let proc = Prog.find_proc_exn a.a_prog name in
-            let ir = Jump_function.build_ir ?oracle ~modref a.a_prog proc in
-            Hashtbl.replace irs name ir)
+          if not (Hashtbl.mem irs name || copy_seeded irs prev_irs name) then
+            Hashtbl.replace irs name (build name))
         (Callgraph.top_down a.a_cg));
   { sg_modref = modref; sg_ret_jfs = ret_jfs; sg_irs = irs }
 
@@ -479,15 +495,15 @@ module Make (A : Analysis_sig.S) = struct
 
   let pp_constants ppf (t : A.L.t analysis_result) =
     List.iter
-      (fun (name, cs) ->
-        if cs <> [] then begin
-          let proc = Prog.find_proc_exn t.prog name in
-          Fmt.pf ppf "%s: %a@." name
+      (fun (proc : Prog.proc) ->
+        match S.constants_of t.solution proc.pname with
+        | [] -> ()
+        | cs ->
+          Fmt.pf ppf "%s: %a@." proc.pname
             (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (param, c) ->
                  Fmt.pf ppf "%s=%d" (Prog.param_name t.prog proc param) c))
-            cs
-        end)
-      (constants t)
+            cs)
+      t.prog.procs
 end
 
 include Make (Const_analysis)

@@ -86,10 +86,11 @@ val artifacts_prog : artifacts -> Prog.t
 val artifacts_callgraph : artifacts -> Callgraph.t
 
 (** Serialize the config-independent artifacts (program, call graph, both
-    MOD variants, global keys; lazies are forced).  Stage-1/2 bundles
-    embed closures and do not travel — they are rebuilt on demand after a
-    round trip, so solving over deserialized artifacts is byte-identical
-    to solving over fresh ones.  The payload is [Marshal]-based and
+    MOD variants; lazies are forced).  The IR context — procedure index,
+    globals and expression-id ceiling — is rebuilt by one program walk on
+    decode.  Stage-1/2 bundles embed closures and do not travel — they
+    are rebuilt on demand after a round trip, so solving over
+    deserialized artifacts is byte-identical to solving over fresh ones.  The payload is [Marshal]-based and
     build-specific: pair it with an external integrity check (checksum +
     build fingerprint, as the serve layer's artifact cache does) and
     never feed it bytes from another build. *)

@@ -74,13 +74,34 @@ type proc_ir = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Whole-program facts of IR construction.                              *)
+
+(** What every procedure's IR build reads of the whole program, computed
+    in one pass so that building all IRs stays linear in program size. *)
+type context = {
+  cx_prog : Prog.t;
+  cx_procs : Prog.proc_index;
+  cx_globals : Prog.global list;  (** {!Prog.all_globals} *)
+  cx_next_expr_id : int;  (** {!Lower.expr_id_ceiling} *)
+}
+
+let context (prog : Prog.t) : context =
+  {
+    cx_prog = prog;
+    cx_procs = Prog.index_procs prog;
+    cx_globals = Prog.all_globals prog;
+    cx_next_expr_id = Lower.expr_id_ceiling prog;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Per-procedure variables standing for globals.                        *)
 
 (* Every common global of the program gets a variable in every procedure:
    the declared alias when the unit declares it, or a synthetic name (with
    '@', unlexable) otherwise — undeclared globals still flow through calls
    unchanged and must be representable in SSA. *)
-let global_vars_for (prog : Prog.t) (proc : Prog.proc) : (string * Prog.var) list =
+let global_vars_for (cx : context) (proc : Prog.proc) :
+    (string * Prog.var) list =
   List.map
     (fun (g : Prog.global) ->
       let key = Prog.global_key g in
@@ -95,7 +116,7 @@ let global_vars_for (prog : Prog.t) (proc : Prog.proc) : (string * Prog.var) lis
           { Prog.vname = "@g:" ^ key; vty = g.gty; vdims = g.gdims; vkind = Kglobal g }
       in
       (key, var))
-    (Prog.all_globals prog)
+    cx.cx_globals
 
 (* ------------------------------------------------------------------ *)
 (* IR construction.                                                     *)
@@ -106,24 +127,20 @@ let global_vars_for (prog : Prog.t) (proc : Prog.proc) : (string * Prog.var) lis
     by-reference actuals bound to modified formals and the modified scalar
     globals.  [oracle] plugs return-jump-function evaluation into the
     symbolic interpretation of call definitions. *)
-let rec build_ir ?oracle ~(modref : Modref.t) (prog : Prog.t)
-    (proc : Prog.proc) : proc_ir =
-  Ipcp_telemetry.Telemetry.span ("build_ir:" ^ proc.pname) (fun () ->
-      Ipcp_telemetry.Telemetry.incr "jf.build_ir";
-      build_ir_timed ?oracle ~modref prog proc)
-
-and build_ir_timed ?oracle ~(modref : Modref.t) (prog : Prog.t)
-    (proc : Prog.proc) : proc_ir =
+let build_ir ?oracle ~(modref : Modref.t) (cx : context) (proc : Prog.proc) :
+    proc_ir =
+  Ipcp_telemetry.Telemetry.span ("build_ir:" ^ proc.pname) @@ fun () ->
+  Ipcp_telemetry.Telemetry.incr "jf.build_ir";
   (* data-initialized storage holds its load-time value on entry to the
      main program (and nothing has run before main) *)
   let entry_const (v : Prog.var) =
     if proc.pkind = Prog.Pmain && Prog.is_scalar v && v.vty = Prog.Tint then
-      Prog.data_value_in_main prog v
+      Prog.data_value_in_main cx.cx_prog v
     else None
   in
-  let cfg = Lower.lower_proc ~next_expr_id:(Lower.expr_id_ceiling prog) proc in
+  let cfg = Lower.lower_proc ~next_expr_id:cx.cx_next_expr_id proc in
   let dom = Dom.compute cfg in
-  let global_vars = global_vars_for prog proc in
+  let global_vars = global_vars_for cx proc in
   let scalar_globals =
     List.filter (fun (_, (v : Prog.var)) -> Prog.is_scalar v) global_vars
   in

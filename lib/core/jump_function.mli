@@ -51,10 +51,26 @@ type proc_ir = {
   pi_global_vars : (string * Prog.var) list;
 }
 
+(** What every IR build reads of the whole program: a name → procedure
+    index, the program's globals and the first free expression id.  Build
+    it once per program ([Driver.prepare] keeps it in the artifacts); it
+    holds no lazy or mutable state beyond the index, which nothing
+    writes after construction. *)
+type context = private {
+  cx_prog : Prog.t;
+  cx_procs : Prog.proc_index;
+  cx_globals : Prog.global list;  (** {!Prog.all_globals} *)
+  cx_next_expr_id : int;  (** {!Ipcp_ir.Lower.expr_id_ceiling} *)
+}
+
+(** One pass over the program. *)
+val context : Prog.t -> context
+
 (** Build the IR bundle.  [modref] drives the call-kill sets; [oracle]
-    plugs return-jump-function evaluation into call definitions. *)
+    plugs return-jump-function evaluation into call definitions.  Costs
+    time linear in the procedure, not in the program. *)
 val build_ir :
-  ?oracle:Ssa_value.oracle -> modref:Modref.t -> Prog.t -> Prog.proc -> proc_ir
+  ?oracle:Ssa_value.oracle -> modref:Modref.t -> context -> Prog.proc -> proc_ir
 
 (** An oracle evaluating return jump functions from a table, over constant
     actuals only (the paper's §3.2 rule). *)

@@ -159,10 +159,28 @@ let param_name prog proc = function
 
 let find_proc t name = List.find_opt (fun p -> p.pname = name) t.procs
 
+let no_proc name =
+  invalid_arg (Printf.sprintf "Prog.find_proc_exn: no procedure %s" name)
+
 let find_proc_exn t name =
-  match find_proc t name with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Prog.find_proc_exn: no procedure %s" name)
+  match find_proc t name with Some p -> p | None -> no_proc name
+
+(** A name → procedure table with {!find_proc}'s first-match semantics,
+    for passes that look procedures up per call site or per executed call.
+    It is a snapshot of [t.procs]: build it from the program the pass
+    reads, never keep it across a [{ t with procs = ... }] rewrite. *)
+type proc_index = (string, proc) Hashtbl.t
+
+let index_procs t : proc_index =
+  let tbl = Hashtbl.create (List.length t.procs) in
+  List.iter
+    (fun p -> if not (Hashtbl.mem tbl p.pname) then Hashtbl.add tbl p.pname p)
+    t.procs;
+  tbl
+
+(** {!find_proc_exn} through an index. *)
+let indexed_proc_exn (idx : proc_index) name =
+  match Hashtbl.find_opt idx name with Some p -> p | None -> no_proc name
 
 let is_function t name =
   match find_proc t name with Some p -> p.pkind = Pfunction | None -> false

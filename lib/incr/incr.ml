@@ -188,11 +188,12 @@ module Make (A : Analysis_sig.S) = struct
        physical value, so reused IR ids stay consistent *)
     let grafted = ref 0 in
     let grafted_max = ref (-1) in
+    let prev_procs = Prog.index_procs prev.s_prog in
     let picked =
       List.map
         (fun (p : Prog.proc) ->
           match
-            if strict_unchanged p.pname then Prog.find_proc prev.s_prog p.pname
+            if strict_unchanged p.pname then Hashtbl.find_opt prev_procs p.pname
             else None
           with
           | Some old_p ->
@@ -210,6 +211,7 @@ module Make (A : Analysis_sig.S) = struct
         picked
     in
     let prog' = { prog_new with procs = procs' } in
+    let new_procs = Prog.index_procs prog' in
     let artifacts =
       Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged:strict_unchanged
         prog'
@@ -244,8 +246,8 @@ module Make (A : Analysis_sig.S) = struct
         if not (Hashtbl.mem transfer_dirty name) then begin
           Hashtbl.add transfer_dirty name ();
           let stable =
-            Prog.find_proc prev.s_prog name <> None
-            && Prog.find_proc prog' name <> None
+            Hashtbl.mem prev_procs name
+            && Hashtbl.mem new_procs name
             && Driver.summary_stable config ~prev:prev.s_artifacts artifacts
                  name
           in
@@ -266,7 +268,7 @@ module Make (A : Analysis_sig.S) = struct
          differ.  A dirty procedure's VAL feeds every jump function at its
          sites, so the cone closes under new-graph callees. *)
       let rec mark name =
-        if Prog.find_proc prog' name <> None && not (Hashtbl.mem dirty name)
+        if Hashtbl.mem new_procs name && not (Hashtbl.mem dirty name)
         then begin
           Hashtbl.add dirty name ();
           List.iter
@@ -307,7 +309,7 @@ module Make (A : Analysis_sig.S) = struct
           let olds = Option.value ~default:[] (Hashtbl.find_opt old_sites name)
           and news = Driver.site_jfs_for artifacts config name in
           match
-            (Prog.find_proc prev.s_prog name, Prog.find_proc prog' name)
+            (Hashtbl.find_opt prev_procs name, Hashtbl.find_opt new_procs name)
           with
           | Some _, Some _ when List.length olds = List.length news ->
             List.iter2
@@ -330,7 +332,8 @@ module Make (A : Analysis_sig.S) = struct
       List.iter mark d.added_procs;
       List.iter
         (fun name ->
-          match (Prog.find_proc prev.s_prog name, Prog.find_proc prog' name)
+          match
+            (Hashtbl.find_opt prev_procs name, Hashtbl.find_opt new_procs name)
           with
           | Some op, Some np
             when List.length op.Prog.pformals <> List.length np.Prog.pformals

@@ -75,7 +75,7 @@ exception Return_from_proc
 exception Jump of int  (** to a statement label *)
 
 type state = {
-  prog : Prog.t;
+  procs : Prog.proc_index;  (** built once per run *)
   globals : (string, storage) Hashtbl.t;
   mutable fuel : int;
   buf_outputs : string list ref;
@@ -367,7 +367,7 @@ and snapshot_entry st (callee : Prog.proc) vars =
   end
 
 and call_function st frame fname args : value =
-  let callee = Prog.find_proc_exn st.prog fname in
+  let callee = Prog.indexed_proc_exn st.procs fname in
   let vars = bind_args st frame callee args in
   snapshot_entry st callee vars;
   let callee_frame = { vars } in
@@ -381,7 +381,7 @@ and call_function st frame fname args : value =
     | _ -> runtime "function %s did not set its result" fname)
 
 and call_subroutine st frame sname args =
-  let callee = Prog.find_proc_exn st.prog sname in
+  let callee = Prog.indexed_proc_exn st.procs sname in
   let vars = bind_args st frame callee args in
   snapshot_entry st callee vars;
   let callee_frame = { vars } in
@@ -502,10 +502,11 @@ let default_fuel = 2_000_000
     snapshots are recorded (they cost time and memory). *)
 let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
     (prog : Prog.t) : result =
-  let main = Prog.find_proc_exn prog prog.main in
+  let procs = Prog.index_procs prog in
+  let main = Prog.indexed_proc_exn procs prog.main in
   let st =
     {
-      prog;
+      procs;
       globals = Hashtbl.create 32;
       fuel;
       buf_outputs = ref [];

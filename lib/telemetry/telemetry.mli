@@ -8,9 +8,9 @@
     is off, while [--profile] runs collect:
 
     - {b spans}: nested monotonic-clock timers forming a tree, e.g.
-      [analyze > stage2:forward_jfs > build_ir:<proc>]; repeated spans with
-      the same name under the same parent aggregate (total time, call count,
-      per-call duration distribution);
+      [analyze > solve > stage1:return_jfs > build_ir:<proc>]; repeated
+      spans with the same name under the same parent aggregate (total time,
+      call count, per-call duration distribution);
     - {b counters}: monotonic named totals (worklist pops, meets,
       jump-function evaluations per kind, …);
     - {b distributions}: streams of observed values (per-program timings in

@@ -20,6 +20,7 @@ let () =
       ("dependence", Test_dependence.suite);
       ("core", Test_core.suite);
       ("staged", Test_staged.suite);
+      ("stage12", Test_stage12.suite);
       ("suite", Test_suite.suite);
       ("extensions", Test_extensions.suite);
       ("golden", Test_golden.suite);
