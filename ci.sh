@@ -155,6 +155,25 @@ if IPCP_FAULT_CORRUPT=7 dune exec --no-build -- ipcp certify --suite > /dev/null
   echo "certify: corrupted solutions were not rejected" >&2
   exit 1
 fi
+# Code that runs once: the 20000-procedure chain from "linear stages
+# 1-2" certifies under a 1 MiB stack and a hang guard with the full
+# obligation count and a completed execution witness, and `ipcp run`
+# prints one line per procedure.
+( ulimit -s 1024
+  timeout 60 _build/default/bin/ipcp.exe certify "$tmpdir/chain.f" ) \
+  > "$tmpdir/chain.certify.out"
+if ! grep -q 'certified (180004 obligations, execution witnessed)' \
+  "$tmpdir/chain.certify.out"; then
+  echo "certify: the 20000-procedure chain did not certify with 180004 obligations" >&2
+  tail -3 "$tmpdir/chain.certify.out" >&2 || true
+  exit 1
+fi
+timeout 60 _build/default/bin/ipcp.exe run "$tmpdir/chain.f" > "$tmpdir/chain.run.out"
+chain_lines=$(wc -l < "$tmpdir/chain.run.out")
+if [ "$chain_lines" -ne 20000 ]; then
+  echo "run: the 20000-procedure chain printed $chain_lines lines, expected 20000" >&2
+  exit 1
+fi
 
 echo "== differential fuzzing"
 # The seeded oracle under two pinned seeds with full certification:

@@ -381,13 +381,21 @@ module Make (A : Analysis_sig.S) = struct
           (fun eid b -> Hashtbl.replace cond_claims eid (name, b))
           r.Sccp.cond_consts)
       sccps;
-    let eid_locs : (int, Loc.t) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun (p : Prog.proc) ->
-        Prog.iter_exprs (fun e -> Hashtbl.replace eid_locs e.eid e.eloc) p.pbody)
-      prog.procs;
+    (* expression locations, gathered only once something is flagged *)
+    let eid_locs =
+      lazy
+        (let tbl : (int, Loc.t) Hashtbl.t = Hashtbl.create 256 in
+         List.iter
+           (fun (p : Prog.proc) ->
+             Prog.iter_exprs
+               (fun e -> Hashtbl.replace tbl e.eid e.eloc)
+               p.pbody)
+           prog.procs;
+         tbl)
+    in
     let loc_of eid =
-      Hashtbl.find_opt eid_locs eid |> Option.value ~default:main.ploc
+      Hashtbl.find_opt (Lazy.force eid_locs) eid
+      |> Option.value ~default:main.ploc
     in
     (* one violation per expression id, however often it evaluates *)
     let flagged : (int, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -397,30 +405,40 @@ module Make (A : Analysis_sig.S) = struct
         add ~code:"E-CERT-EXEC" ~proc ~loc:(loc_of eid) msg
       end
     in
-    let on_expr eid (v : Interp.value) =
-      (match Hashtbl.find_opt expr_claims eid with
-      | Some (pname, c) ->
-        if not (Interp.equal_value v (Interp.Vint c)) then
-          flag eid pname
-            (Fmt.str
-               "claimed constant use = %d but the program computed %a here" c
-               Interp.pp_value v)
-      | None -> ());
-      match Hashtbl.find_opt cond_claims eid with
-      | Some (pname, b) ->
-        if not (Interp.equal_value v (Interp.Vbool b)) then
-          flag eid pname
-            (Fmt.str
-               "claimed constant branch = %b but the program computed %a here"
-               b Interp.pp_value v)
-      | None -> ()
+    let check_use eid (pname, c) (v : Interp.value) =
+      if not (Interp.equal_value v (Interp.Vint c)) then
+        flag eid pname
+          (Fmt.str "claimed constant use = %d but the program computed %a here"
+             c Interp.pp_value v)
     in
-    let res = Interp.run ~fuel ~input ~trace_entries:true ~on_expr prog in
+    let check_branch eid (pname, b) (v : Interp.value) =
+      if not (Interp.equal_value v (Interp.Vbool b)) then
+        flag eid pname
+          (Fmt.str
+             "claimed constant branch = %b but the program computed %a here" b
+             Interp.pp_value v)
+    in
+    (* only claimed expressions are watched; the rest run unobserved *)
+    let watch eid =
+      match
+        (Hashtbl.find_opt expr_claims eid, Hashtbl.find_opt cond_claims eid)
+      with
+      | None, None -> None
+      | Some use, None -> Some (fun v -> check_use eid use v)
+      | None, Some branch -> Some (fun v -> check_branch eid branch v)
+      | Some use, Some branch ->
+        Some
+          (fun v ->
+            check_use eid use v;
+            check_branch eid branch v)
+    in
+    let res = Interp.run ~fuel ~input ~trace_entries:true ~watch prog in
     match res.Interp.outcome with
     | Interp.Out_of_fuel | Interp.Failed _ -> false
     | Interp.Finished ->
-      Hashtbl.iter (fun _ _ -> obligation ()) expr_claims;
-      Hashtbl.iter (fun _ _ -> obligation ()) cond_claims;
+      for _ = 1 to Hashtbl.length expr_claims + Hashtbl.length cond_claims do
+        obligation ()
+      done;
       (* CONSTANTS entry facts vs actual entry snapshots *)
       let procs = Prog.index_procs prog in
       List.iter

@@ -19,7 +19,17 @@
     - reading an uninitialized variable is a runtime error;
     - execution is bounded by a fuel counter so divergent programs terminate;
     - [goto] may jump within the current statement sequence or out of nested
-      blocks, never into a block. *)
+      blocks, never into a block.
+
+    Names are resolved once per run, not at every step.  A procedure is
+    compiled when it is first called, into closures over an array frame:
+    formals, the result variable and locals get slot indices, common
+    globals get dense indices into a per-run array (keyed by
+    [(gblock, gslot)]), and each call site caches its callee's code after
+    its first execution.  Storage is still allocated on first touch, so
+    uninitialized reads and entry snapshots behave as in a tree walker.
+    Compilation does per node about the work one evaluation of the node
+    does, so code that runs only once costs no more than walking it. *)
 
 open Ipcp_frontend
 
@@ -74,18 +84,51 @@ exception Return_from_proc
 
 exception Jump of int  (** to a statement label *)
 
+(* A frame holds one storage per slot; [unbound] marks a slot whose
+   storage has not been touched yet.  It is compared physically and
+   never written through (an empty array has no cells). *)
+type frame = storage array
+
+let unbound = Array [||]
+
+(* A procedure's compiled code.  Formal [i] lives in slot [i]. *)
+type code = {
+  nslots : int;
+  result_slot : int;  (** of a function's result variable *)
+  body : frame -> unit;
+  snap_globals : (string * int) list;
+      (** scalar commons of the unit for entry snapshots: key, index *)
+}
+
+(* A procedure and, once it has been called, its code. *)
+type proc_entry = { proc : Prog.proc; mutable code : code option }
+
+(* An actual argument, compiled in the caller; how it binds depends on
+   the callee's formal, known only when the call runs. *)
+type actual =
+  | Whole of Prog.var * int  (** a variable: bound by reference *)
+  | Elem of Prog.var * int * (frame -> value) array
+      (** an array element: aliased, or the start of a section *)
+  | Temp of (frame -> value)  (** any other expression: a fresh temporary *)
+
+(* A [print] argument. *)
+type piece = Text of string | Value of (frame -> value)
+
 type state = {
-  procs : Prog.proc_index;  (** built once per run *)
-  globals : (string, storage) Hashtbl.t;
+  procs : (string, proc_entry) Hashtbl.t;
+      (** first unit of each name, as {!Prog.index_procs} *)
+  mutable compiled : int;  (** procedures compiled so far *)
+  gindex : (string * int, int) Hashtbl.t;  (** [(gblock, gslot)] → index *)
+  mutable globals : storage array;  (** indexed by [gindex] *)
   mutable fuel : int;
-  buf_outputs : string list ref;
-  buf_entries : entry_snapshot list ref;
+  mutable outputs : string list;
+  mutable entries : entry_snapshot list;
   mutable input : int list;  (** values consumed by [read] *)
   mutable total_steps : int;
   trace_entries : bool;
-  on_expr : (int -> value -> unit) option;
-      (** observation hook: called with (expression id, value) after every
-          expression evaluation — the certifier's execution witness *)
+  watch : (int -> (value -> unit) option) option;
+      (** asked once per compiled expression; a [Some] hook then observes
+          every evaluation of that expression *)
 }
 
 let tick st =
@@ -105,44 +148,75 @@ let alloc_storage dims =
   | [] -> Scalar (ref None)
   | _ -> Array (Array.init (array_size dims) (fun _ -> ref None))
 
+(* A variable's place: a frame slot when [>= 0], global index [-1 - p]
+   otherwise. *)
+let storage st (fr : frame) (v : Prog.var) p =
+  if p >= 0 then begin
+    let s = fr.(p) in
+    if s != unbound then s
+    else begin
+      let s = alloc_storage v.vdims in
+      fr.(p) <- s;
+      s
+    end
+  end
+  else begin
+    let g = -1 - p in
+    let s = st.globals.(g) in
+    if s != unbound then s
+    else begin
+      let dims = match v.vkind with Prog.Kglobal g -> g.gdims | _ -> [] in
+      let s = alloc_storage dims in
+      st.globals.(g) <- s;
+      s
+    end
+  end
+
+let scalar_cell (v : Prog.var) = function
+  | Scalar c -> c
+  | Array _ -> runtime "array %s used as a scalar" v.vname
+
 (* Column-major flat offset of 1-based subscripts. *)
-let flat_offset ~what dims idx =
-  let rec go dims idx stride acc =
-    match (dims, idx) with
-    | [], [] -> acc
-    | d :: dims', i :: idx' ->
+let flat_offset (v : Prog.var) (idx : int array) =
+  let n = Array.length idx in
+  let rec go dims k stride acc =
+    match dims with
+    | [] when k = n -> acc
+    | d :: dims' when k < n ->
+      let i = idx.(k) in
       if i < 1 || i > d then
-        runtime "subscript %d out of bounds 1..%d for %s" i d what;
-      go dims' idx' (stride * d) (acc + ((i - 1) * stride))
-    | _ -> runtime "wrong number of subscripts for %s" what
+        runtime "subscript %d out of bounds 1..%d for %s" i d v.vname;
+      go dims' (k + 1) (stride * d) (acc + ((i - 1) * stride))
+    | _ -> runtime "wrong number of subscripts for %s" v.vname
   in
-  go dims idx 1 0
+  go v.vdims 0 1 0
 
 (* ------------------------------------------------------------------ *)
-(* Value coercions.                                                    *)
+(* Value coercions and operators.                                      *)
 
 let as_int ~what = function
   | Vint n -> n
   | Vreal f -> int_of_float f
   | Vbool _ -> runtime "logical value where integer expected (%s)" what
 
-let as_real ~what = function
-  | Vint n -> float_of_int n
-  | Vreal f -> f
-  | Vbool _ -> runtime "logical value where real expected (%s)" what
-
 let as_bool ~what = function
   | Vbool b -> b
   | Vint _ | Vreal _ -> runtime "numeric value where logical expected (%s)" what
 
+let numeric = function Vint _ | Vreal _ -> true | Vbool _ -> false
+
+(* Only called on numeric values. *)
+let real_of = function
+  | Vint n -> float_of_int n
+  | Vreal f -> f
+  | Vbool _ -> assert false
+
 (* Coerce a value for assignment into a variable of type [ty]. *)
 let coerce ty v =
   match (ty, v) with
-  | Prog.Tint, Vint n -> Vint n
+  | Prog.Tint, Vint _ | Prog.Treal, Vreal _ | Prog.Tlogical, Vbool _ -> v
   | Prog.Tint, Vreal f -> Vint (int_of_float f)
   | Prog.Treal, Vint n -> Vreal (float_of_int n)
-  | Prog.Treal, Vreal f -> Vreal f
-  | Prog.Tlogical, Vbool b -> Vbool b
   | Prog.Tlogical, (Vint _ | Vreal _) ->
     runtime "cannot store a number into a logical variable"
   | (Prog.Tint | Prog.Treal), Vbool _ ->
@@ -160,70 +234,80 @@ let int_pow base ex =
     | 0 -> runtime "0 ** negative exponent"
     | _ -> 0
 
-(* ------------------------------------------------------------------ *)
-(* Environments.                                                       *)
+(* Arithmetic on anything but two integers: both operands as reals. *)
+let arith_real fr a b =
+  if numeric a && numeric b then Vreal (fr (real_of a) (real_of b))
+  else runtime "logical operand in arithmetic"
 
-type frame = { vars : (string, storage) Hashtbl.t }
+let compare_num a b =
+  match (a, b) with
+  | Vint x, Vint y -> Int.compare x y
+  | _ when numeric a && numeric b -> Float.compare (real_of a) (real_of b)
+  | _ -> runtime "logical operand in comparison"
 
-let storage_of_var st frame (v : Prog.var) : storage =
-  match v.vkind with
-  | Prog.Kglobal g -> (
-    let key = Prog.global_key g in
-    match Hashtbl.find_opt st.globals key with
-    | Some s -> s
-    | None ->
-      let s = alloc_storage g.gdims in
-      Hashtbl.replace st.globals key s;
-      s)
-  | Prog.Kformal _ | Prog.Klocal | Prog.Kresult -> (
-    match Hashtbl.find_opt frame.vars v.vname with
-    | Some s -> s
-    | None ->
-      let s = alloc_storage v.vdims in
-      Hashtbl.replace frame.vars v.vname s;
-      s)
+let vtrue = Vbool true
+let vfalse = Vbool false
+let vbool b = if b then vtrue else vfalse
 
-let scalar_cell st frame (v : Prog.var) : cell =
-  match storage_of_var st frame v with
-  | Scalar c -> c
-  | Array _ -> runtime "array %s used as a scalar" v.vname
+(* Every operator is a closed function, so compiling a node allocates
+   nothing for it.  Logical operators check both operands, whatever the
+   first one's value. *)
+let binop : Ast.binop -> value -> value -> value = function
+  | Ast.Add -> (
+    fun a b ->
+      match (a, b) with
+      | Vint x, Vint y -> Vint (x + y)
+      | Vreal x, Vreal y -> Vreal (x +. y)
+      | _ -> arith_real ( +. ) a b)
+  | Ast.Sub -> (
+    fun a b ->
+      match (a, b) with
+      | Vint x, Vint y -> Vint (x - y)
+      | Vreal x, Vreal y -> Vreal (x -. y)
+      | _ -> arith_real ( -. ) a b)
+  | Ast.Mul -> (
+    fun a b ->
+      match (a, b) with
+      | Vint x, Vint y -> Vint (x * y)
+      | Vreal x, Vreal y -> Vreal (x *. y)
+      | _ -> arith_real ( *. ) a b)
+  | Ast.Div -> (
+    fun a b ->
+      match (a, b) with
+      | Vint _, Vint 0 -> runtime "integer division by zero"
+      | Vint x, Vint y -> Vint (x / y)
+      | _ when numeric a && numeric b ->
+        let d = real_of b in
+        if d = 0.0 then runtime "real division by zero";
+        Vreal (real_of a /. d)
+      | _ -> runtime "logical operand in division")
+  | Ast.Pow -> (
+    fun a b ->
+      match (a, b) with
+      | Vint x, Vint y -> Vint (int_pow x y)
+      | _ when numeric a && numeric b -> Vreal (real_of a ** real_of b)
+      | _ -> runtime "logical operand in power")
+  | Ast.Lt -> fun a b -> vbool (compare_num a b < 0)
+  | Ast.Le -> fun a b -> vbool (compare_num a b <= 0)
+  | Ast.Gt -> fun a b -> vbool (compare_num a b > 0)
+  | Ast.Ge -> fun a b -> vbool (compare_num a b >= 0)
+  | Ast.Eq -> fun a b -> vbool (compare_num a b = 0)
+  | Ast.Ne -> fun a b -> vbool (compare_num a b <> 0)
+  | Ast.And ->
+    fun a b ->
+      let y = as_bool ~what:"operand" b in
+      vbool (as_bool ~what:"operand" a && y)
+  | Ast.Or ->
+    fun a b ->
+      let y = as_bool ~what:"operand" b in
+      vbool (as_bool ~what:"operand" a || y)
 
-let read_cell ~what (c : cell) =
-  match !c with
-  | Some v -> v
-  | None -> runtime "read of uninitialized variable %s" what
+let v_neg = function
+  | Vint n -> Vint (-n)
+  | Vreal f -> Vreal (-.f)
+  | Vbool _ -> runtime "negation of a logical"
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation.                                              *)
-
-let rec eval st frame (e : Prog.expr) : value =
-  let v = eval_desc st frame e in
-  (match st.on_expr with None -> () | Some f -> f e.eid v);
-  v
-
-and eval_desc st frame (e : Prog.expr) : value =
-  tick st;
-  match e.edesc with
-  | Cint n -> Vint n
-  | Creal f -> Vreal f
-  | Cbool b -> Vbool b
-  | Cstr _ -> runtime "string literal outside print"
-  | Evar v -> read_cell ~what:v.vname (scalar_cell st frame v)
-  | Earr (v, idx) ->
-    let cell = element_cell st frame v idx in
-    read_cell ~what:(v.vname ^ "(...)") cell
-  | Ecall (f, args) -> call_function st frame f args
-  | Eintr (intr, args) -> eval_intrinsic st frame intr args
-  | Eun (Ast.Neg, a) -> (
-    match eval st frame a with
-    | Vint n -> Vint (-n)
-    | Vreal f -> Vreal (-.f)
-    | Vbool _ -> runtime "negation of a logical")
-  | Eun (Ast.Not, a) -> Vbool (not (as_bool ~what:".not." (eval st frame a)))
-  | Ebin (op, a, b) -> eval_binop st frame op a b
-
-and eval_intrinsic st frame intr args =
-  let values = List.map (eval st frame) args in
+let intrinsic intr values =
   match (intr, values) with
   | Prog.Iabs, [ Vint n ] -> Vint (abs n)
   | Prog.Iabs, [ Vreal f ] -> Vreal (Float.abs f)
@@ -237,257 +321,448 @@ and eval_intrinsic st frame intr args =
   | (Prog.Iabs | Prog.Imin | Prog.Imax | Prog.Imod), _ ->
     runtime "bad arguments to intrinsic %s" (Prog.intrinsic_name intr)
 
-and eval_binop st frame op a b =
-  let va = eval st frame a in
-  let vb = eval st frame b in
-  let arith fi fr =
-    match (va, vb) with
-    | Vint x, Vint y -> Vint (fi x y)
-    | (Vint _ | Vreal _), (Vint _ | Vreal _) ->
-      Vreal (fr (as_real ~what:"operand" va) (as_real ~what:"operand" vb))
-    | _ -> runtime "logical operand in arithmetic"
-  in
-  let rel f =
-    match (va, vb) with
-    | Vint x, Vint y -> Vbool (f (compare x y) 0)
-    | (Vint _ | Vreal _), (Vint _ | Vreal _) ->
-      Vbool
-        (f (compare (as_real ~what:"operand" va) (as_real ~what:"operand" vb)) 0)
-    | _ -> runtime "logical operand in comparison"
-  in
-  let logic f =
-    Vbool (f (as_bool ~what:"operand" va) (as_bool ~what:"operand" vb))
-  in
-  match op with
-  | Ast.Add -> arith ( + ) ( +. )
-  | Ast.Sub -> arith ( - ) ( -. )
-  | Ast.Mul -> arith ( * ) ( *. )
-  | Ast.Div ->
-    (match (va, vb) with
-    | Vint _, Vint 0 -> runtime "integer division by zero"
-    | Vint x, Vint y -> Vint (x / y)
-    | (Vint _ | Vreal _), (Vint _ | Vreal _) ->
-      let d = as_real ~what:"divisor" vb in
-      if d = 0.0 then runtime "real division by zero";
-      Vreal (as_real ~what:"dividend" va /. d)
-    | _ -> runtime "logical operand in division")
-  | Ast.Pow ->
-    (match (va, vb) with
-    | Vint x, Vint y -> Vint (int_pow x y)
-    | (Vint _ | Vreal _), (Vint _ | Vreal _) ->
-      Vreal (as_real ~what:"base" va ** as_real ~what:"exponent" vb)
-    | _ -> runtime "logical operand in power")
-  | Ast.Lt -> rel ( < )
-  | Ast.Le -> rel ( <= )
-  | Ast.Gt -> rel ( > )
-  | Ast.Ge -> rel ( >= )
-  | Ast.Eq -> rel ( = )
-  | Ast.Ne -> rel ( <> )
-  | Ast.And -> logic ( && )
-  | Ast.Or -> logic ( || )
+let value_string = function
+  | Vint n -> string_of_int n
+  | Vreal f -> Printf.sprintf "%g" f
+  | Vbool b -> if b then "T" else "F"
 
-and element_cell st frame (v : Prog.var) idx : cell =
-  let ivals =
-    List.map (fun i -> as_int ~what:"subscript" (eval st frame i)) idx
-  in
-  match storage_of_var st frame v with
+(* ------------------------------------------------------------------ *)
+(* Execution helpers the compiled closures call.                       *)
+
+let read_cell ~what (c : cell) =
+  match !c with
+  | Some v -> v
+  | None -> runtime "read of uninitialized variable %s" what
+
+(* Left to right, as every list of operands is evaluated. *)
+let rec eval_all fr = function
+  | [] -> []
+  | c :: rest ->
+    let v = c fr in
+    v :: eval_all fr rest
+
+let subscripts fr (cidx : (frame -> value) array) =
+  let ivals = Array.make (Array.length cidx) 0 in
+  for k = 0 to Array.length cidx - 1 do
+    ivals.(k) <- as_int ~what:"subscript" (cidx.(k) fr)
+  done;
+  ivals
+
+(* Subscripts are evaluated before the storage is touched. *)
+let element_cell st fr (v : Prog.var) p cidx : cell =
+  let ivals = subscripts fr cidx in
+  match storage st fr v p with
   | Scalar _ -> runtime "scalar %s subscripted" v.vname
   | Array cells ->
-    let off = flat_offset ~what:v.vname v.vdims ivals in
+    let off = flat_offset v ivals in
     if off >= Array.length cells then
       runtime "subscript out of bounds for %s" v.vname;
     cells.(off)
 
-(* Bind actual arguments to formal parameters, by reference. *)
-and bind_args st frame (callee : Prog.proc) (args : Prog.expr list) :
-    (string, storage) Hashtbl.t =
-  let vars = Hashtbl.create 8 in
-  List.iter2
-    (fun (formal : Prog.var) (actual : Prog.expr) ->
-      let storage =
-        match actual.edesc with
-        | Prog.Evar v when Prog.is_array v ->
-          (* whole-array actual *)
-          storage_of_var st frame v
-        | Prog.Evar v when Prog.is_scalar formal ->
-          Scalar (scalar_cell st frame v)
-        | Prog.Evar v ->
-          (* scalar actual to array formal: rejected by sema *)
-          ignore v;
-          runtime "scalar bound to array formal"
-        | Prog.Earr (v, idx) when Prog.is_array formal -> (
-          (* sequence association: array formal starts at the element *)
-          let ivals =
-            List.map (fun i -> as_int ~what:"subscript" (eval st frame i)) idx
-          in
-          match storage_of_var st frame v with
-          | Scalar _ -> runtime "scalar %s subscripted" v.vname
-          | Array cells ->
-            let off = flat_offset ~what:v.vname v.vdims ivals in
-            let view = Array.sub cells off (Array.length cells - off) in
-            if Array.length view < array_size formal.vdims then
-              runtime "array section too small for formal %s" formal.vname;
-            Array view)
-        | Prog.Earr (v, idx) -> Scalar (element_cell st frame v idx)
-        | _ ->
-          (* expression actual: fresh temporary *)
-          let value = eval st frame actual in
-          Scalar (ref (Some (coerce formal.vty value)))
-      in
-      Hashtbl.replace vars formal.vname storage)
-    callee.pformals args;
-  vars
+let skip (_ : frame) = ()
 
-and snapshot_entry st (callee : Prog.proc) vars =
-  if st.trace_entries then begin
-    let formals =
-      List.filteri (fun _ (v : Prog.var) -> Prog.is_scalar v) callee.pformals
-      |> List.map (fun (v : Prog.var) ->
-             let pos =
-               match v.vkind with Prog.Kformal i -> i | _ -> assert false
-             in
-             match Hashtbl.find_opt vars v.vname with
-             | Some (Scalar c) -> (pos, !c)
-             | _ -> (pos, None))
-    in
-    let globals =
+let rec pick_arm fr arms els =
+  match arms with
+  | [] -> els fr
+  | (c, body) :: rest ->
+    if as_bool ~what:"if condition" (c fr) then body fr
+    else pick_arm fr rest els
+
+let snapshot_entry st (p : Prog.proc) (c : code) (fr : frame) =
+  let formals =
+    List.filter_map
+      (fun (v : Prog.var) ->
+        match v.vkind with
+        | _ when Prog.is_array v -> None
+        | Prog.Kformal i ->
+          Some (i, match fr.(i) with Scalar cell -> !cell | Array _ -> None)
+        | _ -> assert false)
+      p.pformals
+  in
+  let globals =
+    List.map
+      (fun (key, g) ->
+        match st.globals.(g) with
+        | Scalar cell -> (key, !cell)
+        | Array _ -> (key, None))
+      c.snap_globals
+  in
+  st.entries <-
+    { es_proc = p.pname; es_formals = formals; es_globals = globals }
+    :: st.entries
+
+(* Bind one actual to a formal, by reference. *)
+let bind_one st fr (formal : Prog.var) = function
+  | Whole (v, p) when Prog.is_array v -> storage st fr v p
+  | Whole (v, p) when Prog.is_scalar formal -> (
+    match storage st fr v p with
+    | Scalar _ as s -> s
+    | Array _ -> runtime "array %s used as a scalar" v.vname)
+  | Whole _ -> runtime "scalar bound to array formal"
+  | Elem (v, p, cidx) when Prog.is_array formal -> (
+    (* sequence association: the array formal starts at the element *)
+    let ivals = subscripts fr cidx in
+    match storage st fr v p with
+    | Scalar _ -> runtime "scalar %s subscripted" v.vname
+    | Array cells ->
+      let off = flat_offset v ivals in
+      let view = Array.sub cells off (Array.length cells - off) in
+      if Array.length view < array_size formal.vdims then
+        runtime "array section too small for formal %s" formal.vname;
+      Array view)
+  | Elem (v, p, cidx) -> Scalar (element_cell st fr v p cidx)
+  | Temp c -> Scalar (ref (Some (coerce formal.vty (c fr))))
+
+let rec bind_args st fr (callee_fr : frame) (actuals : actual array) pos =
+  function
+  | [] when pos = Array.length actuals -> ()
+  | formal :: formals when pos < Array.length actuals ->
+    callee_fr.(pos) <- bind_one st fr formal actuals.(pos);
+    bind_args st fr callee_fr actuals (pos + 1) formals
+  | _ -> invalid_arg "List.iter2"
+
+let rec print_pieces fr = function
+  | [] -> []
+  | Text s :: rest -> s :: print_pieces fr rest
+  | Value c :: rest ->
+    let s = value_string (c fr) in
+    s :: print_pieces fr rest
+
+(* ------------------------------------------------------------------ *)
+(* Compilation.                                                        *)
+
+let const st v =
+  let eval (_ : frame) =
+    tick st;
+    v
+  in
+  eval
+
+(* A call of a procedure the program lacks fails when it runs, as a
+   lookup by name would. *)
+let missing st name =
+  let call (_ : frame) =
+    tick st;
+    Prog.no_proc name
+  in
+  call
+
+(* A procedure's names while it compiles: slots in first-use order after
+   the formals and the result. *)
+type env = { mutable names : (string * int) list; mutable next : int }
+
+let global_index st (g : Prog.global) =
+  let key = (g.gblock, g.gslot) in
+  match Hashtbl.find_opt st.gindex key with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length st.gindex in
+    Hashtbl.add st.gindex key i;
+    if i >= Array.length st.globals then begin
+      let grown = Array.make (max 8 (2 * i)) unbound in
+      Array.blit st.globals 0 grown 0 (Array.length st.globals);
+      st.globals <- grown
+    end;
+    i
+
+let place st env (v : Prog.var) =
+  match v.vkind with
+  | Prog.Kglobal g -> -1 - global_index st g
+  | Prog.Kformal _ | Prog.Klocal | Prog.Kresult -> (
+    match List.assoc_opt v.vname env.names with
+    | Some slot -> slot
+    | None ->
+      let slot = env.next in
+      env.names <- (v.vname, slot) :: env.names;
+      env.next <- slot + 1;
+      slot)
+
+let rec cexpr st env (e : Prog.expr) : frame -> value =
+  let code = cexpr_desc st env e in
+  match st.watch with
+  | None -> code
+  | Some watch -> (
+    match watch e.eid with
+    | None -> code
+    | Some f ->
+      fun fr ->
+        let v = code fr in
+        f v;
+        v)
+
+and cexpr_desc st env (e : Prog.expr) : frame -> value =
+  match e.edesc with
+  | Cint n -> const st (Vint n)
+  | Creal f -> const st (Vreal f)
+  | Cbool b -> const st (Vbool b)
+  | Cstr _ ->
+    fun _ ->
+      tick st;
+      runtime "string literal outside print"
+  | Evar v ->
+    let p = place st env v in
+    fun fr ->
+      tick st;
+      (match storage st fr v p with
+      | Scalar c -> (
+        match !c with
+        | Some x -> x
+        | None -> runtime "read of uninitialized variable %s" v.vname)
+      | Array _ -> runtime "array %s used as a scalar" v.vname)
+  | Earr (v, idx) ->
+    let p = place st env v in
+    let cidx = csubscripts st env idx in
+    fun fr ->
+      tick st;
+      let c = element_cell st fr v p cidx in
+      (match !c with
+      | Some x -> x
+      | None -> runtime "read of uninitialized variable %s(...)" v.vname)
+  | Ecall (f, args) -> (
+    let actuals = cactuals st env args in
+    match Hashtbl.find_opt st.procs f with
+    | None -> missing st f
+    | Some callee ->
+      fun fr ->
+        tick st;
+        call_function st fr callee actuals)
+  | Eintr (intr, args) ->
+    let cargs = cexprs st env args in
+    fun fr ->
+      tick st;
+      intrinsic intr (eval_all fr cargs)
+  | Eun (Ast.Neg, a) ->
+    let ca = cexpr st env a in
+    fun fr ->
+      tick st;
+      v_neg (ca fr)
+  | Eun (Ast.Not, a) ->
+    let ca = cexpr st env a in
+    fun fr ->
+      tick st;
+      Vbool (not (as_bool ~what:".not." (ca fr)))
+  | Ebin (op, a, b) ->
+    let f = binop op in
+    let ca = cexpr st env a in
+    let cb = cexpr st env b in
+    fun fr ->
+      tick st;
+      let va = ca fr in
+      let vb = cb fr in
+      f va vb
+
+and cexprs st env = function
+  | [] -> []
+  | e :: rest ->
+    let c = cexpr st env e in
+    c :: cexprs st env rest
+
+and csubscripts st env idx = Array.of_list (cexprs st env idx)
+
+and cactuals st env args =
+  let actual (a : Prog.expr) =
+    match a.edesc with
+    | Prog.Evar v -> Whole (v, place st env v)
+    | Prog.Earr (v, idx) -> Elem (v, place st env v, csubscripts st env idx)
+    | _ -> Temp (cexpr st env a)
+  in
+  Array.of_list (List.map actual args)
+
+(* Enter a procedure (compiling it on its first call): bind, snapshot,
+   run.  Returns the callee's frame. *)
+and enter st fr (callee : proc_entry) actuals : frame =
+  let c =
+    match callee.code with
+    | Some c -> c
+    | None -> compile_proc st callee { names = []; next = 0 }
+  in
+  let callee_fr = Array.make c.nslots unbound in
+  bind_args st fr callee_fr actuals 0 callee.proc.pformals;
+  if st.trace_entries then snapshot_entry st callee.proc c callee_fr;
+  (try c.body callee_fr with Return_from_proc -> ());
+  callee_fr
+
+and call_function st fr callee actuals : value =
+  let callee_fr = enter st fr callee actuals in
+  let name = callee.proc.pname in
+  match (callee.proc.presult, callee.code) with
+  | Some _, Some c -> (
+    match callee_fr.(c.result_slot) with
+    | Scalar cell -> read_cell ~what:(name ^ " (function result)") cell
+    | Array _ -> runtime "function %s did not set its result" name)
+  | _ -> runtime "%s is not a function" name
+
+and compile_proc st (callee : proc_entry) env : code =
+  let p = callee.proc in
+  List.iter (fun (v : Prog.var) -> ignore (place st env v)) p.pformals;
+  let result_slot =
+    match p.presult with Some rv -> place st env rv | None -> -1
+  in
+  let body = cbody st env p.pbody in
+  (* main's [data] locals need slots even when the body never names them *)
+  List.iter
+    (fun (d : Prog.data_init) -> ignore (place st env d.di_var))
+    p.pdata;
+  let snap_globals =
+    if not st.trace_entries then []
+    else
       List.filter_map
         (fun (_, (g : Prog.global)) ->
           if g.gdims <> [] then None
-          else
-            let key = Prog.global_key g in
-            match Hashtbl.find_opt st.globals key with
-            | Some (Scalar c) -> Some (key, !c)
-            | _ -> Some (key, None))
-        callee.pglobals
+          else Some (Prog.global_key g, global_index st g))
+        p.pglobals
+  in
+  let c = { nslots = env.next; result_slot; body; snap_globals } in
+  callee.code <- Some c;
+  st.compiled <- st.compiled + 1;
+  c
+
+(* A statement sequence.  A [Jump l] raised inside is caught here if
+   some statement of this sequence carries label [l] (the first such
+   statement resumes); otherwise it keeps propagating outward (jumps out
+   of blocks). *)
+and cbody st env (stmts : Prog.stmt list) : frame -> unit =
+  let n = List.length stmts in
+  let code = Array.make n skip in
+  let rec fill i labels = function
+    | [] -> labels
+    | (s : Prog.stmt) :: rest ->
+      code.(i) <- cstmt st env s;
+      let labels =
+        match s.slabel with
+        | Some l when not (List.mem_assoc l labels) -> (l, i) :: labels
+        | _ -> labels
+      in
+      fill (i + 1) labels rest
+  in
+  match (fill 0 [] stmts, code) with
+  | [], [||] -> skip
+  | [], [| s |] -> s
+  | [], _ ->
+    fun fr ->
+      for i = 0 to n - 1 do
+        code.(i) fr
+      done
+  | labels, _ ->
+    let rec from fr i =
+      if i < n then
+        match code.(i) fr with
+        | () -> from fr (i + 1)
+        | exception Jump l when List.mem_assoc l labels ->
+          from fr (List.assoc l labels)
     in
-    st.buf_entries :=
-      { es_proc = callee.pname; es_formals = formals; es_globals = globals }
-      :: !(st.buf_entries)
-  end
+    fun fr -> from fr 0
 
-and call_function st frame fname args : value =
-  let callee = Prog.indexed_proc_exn st.procs fname in
-  let vars = bind_args st frame callee args in
-  snapshot_entry st callee vars;
-  let callee_frame = { vars } in
-  (try exec_body st callee_frame callee.pbody with Return_from_proc -> ());
-  match callee.presult with
-  | None -> runtime "%s is not a function" fname
-  | Some rv -> (
-    match Hashtbl.find_opt vars rv.vname with
-    | Some (Scalar c) ->
-      read_cell ~what:(fname ^ " (function result)") c
-    | _ -> runtime "function %s did not set its result" fname)
+and clhs st env : Prog.lhs -> frame -> value -> unit = function
+  | Prog.Lvar v ->
+    let p = place st env v in
+    fun fr x ->
+      let nv = Some (coerce v.vty x) in
+      scalar_cell v (storage st fr v p) := nv
+  | Prog.Larr (v, idx) ->
+    let p = place st env v in
+    let cidx = csubscripts st env idx in
+    fun fr x ->
+      let nv = Some (coerce v.vty x) in
+      element_cell st fr v p cidx := nv
 
-and call_subroutine st frame sname args =
-  let callee = Prog.indexed_proc_exn st.procs sname in
-  let vars = bind_args st frame callee args in
-  snapshot_entry st callee vars;
-  let callee_frame = { vars } in
-  try exec_body st callee_frame callee.pbody with Return_from_proc -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Statement execution.                                                *)
-
-(* Execute a statement sequence.  A [Jump l] raised inside is caught here if
-   some statement of this sequence carries label [l]; otherwise it keeps
-   propagating outward (jumps out of blocks). *)
-and exec_body st frame (stmts : Prog.stmt list) : unit =
-  let has_label l =
-    List.exists (fun (s : Prog.stmt) -> s.slabel = Some l) stmts
-  in
-  let rec run = function
-    | [] -> ()
-    | s :: rest -> (
-      match exec_stmt st frame s with
-      | () -> run rest
-      | exception Jump l when has_label l ->
-        let rec from = function
-          | [] -> assert false
-          | (s' : Prog.stmt) :: tl when s'.slabel = Some l -> run (s' :: tl)
-          | _ :: tl -> from tl
-        in
-        from stmts)
-  in
-  run stmts
-
-and exec_stmt st frame (s : Prog.stmt) : unit =
-  tick st;
+and cstmt st env (s : Prog.stmt) : frame -> unit =
   match s.sdesc with
-  | Sassign (lhs, e) -> (
-    let value = eval st frame e in
-    match lhs with
-    | Lvar v -> scalar_cell st frame v := Some (coerce v.vty value)
-    | Larr (v, idx) -> element_cell st frame v idx := Some (coerce v.vty value))
-  | Scall (f, args) -> call_subroutine st frame f args
+  | Sassign (lhs, e) ->
+    let ce = cexpr st env e in
+    let set = clhs st env lhs in
+    fun fr ->
+      tick st;
+      let x = ce fr in
+      set fr x
+  | Scall (f, args) -> (
+    let actuals = cactuals st env args in
+    match Hashtbl.find_opt st.procs f with
+    | None -> missing st f
+    | Some callee ->
+      fun fr ->
+        tick st;
+        ignore (enter st fr callee actuals))
   | Sif (arms, els) ->
-    let rec pick = function
-      | [] -> exec_body st frame els
-      | (c, body) :: rest ->
-        if as_bool ~what:"if condition" (eval st frame c) then
-          exec_body st frame body
-        else pick rest
+    let carms =
+      List.map (fun (c, b) -> (cexpr st env c, cbody st env b)) arms
     in
-    pick arms
+    let cels = cbody st env els in
+    fun fr ->
+      tick st;
+      pick_arm fr carms cels
   | Sdo (v, lo, hi, step, body) ->
-    let cell = scalar_cell st frame v in
-    let lo = as_int ~what:"do lower bound" (eval st frame lo) in
-    let hi = as_int ~what:"do upper bound" (eval st frame hi) in
-    let step =
-      match step with
-      | None -> 1
-      | Some e -> as_int ~what:"do step" (eval st frame e)
+    let p = place st env v in
+    let clo = cexpr st env lo in
+    let chi = cexpr st env hi in
+    let cstep =
+      match step with None -> None | Some e -> Some (cexpr st env e)
     in
-    if step = 0 then runtime "do loop with zero step";
-    let continues i = if step > 0 then i <= hi else i >= hi in
-    let rec loop i =
-      if continues i then begin
-        cell := Some (Vint i);
-        exec_body st frame body;
+    let cb = cbody st env body in
+    fun fr ->
+      tick st;
+      let cell = scalar_cell v (storage st fr v p) in
+      let lo = as_int ~what:"do lower bound" (clo fr) in
+      let hi = as_int ~what:"do upper bound" (chi fr) in
+      let step =
+        match cstep with
+        | None -> 1
+        | Some c -> as_int ~what:"do step" (c fr)
+      in
+      if step = 0 then runtime "do loop with zero step";
+      let i = ref lo in
+      while if step > 0 then !i <= hi else !i >= hi do
+        cell := Some (Vint !i);
+        cb fr;
         tick st;
-        loop (i + step)
-      end
-      else cell := Some (Vint i)
-    in
-    loop lo
+        i := !i + step
+      done;
+      cell := Some (Vint !i)
   | Sdowhile (c, body) ->
-    let rec loop () =
-      if as_bool ~what:"do while condition" (eval st frame c) then begin
-        exec_body st frame body;
-        tick st;
-        loop ()
-      end
-    in
-    loop ()
-  | Sgoto l -> raise (Jump l)
-  | Scontinue -> ()
-  | Sreturn -> raise Return_from_proc
-  | Sstop -> raise Stop_program
+    let cc = cexpr st env c in
+    let cb = cbody st env body in
+    fun fr ->
+      tick st;
+      while as_bool ~what:"do while condition" (cc fr) do
+        cb fr;
+        tick st
+      done
+  | Sgoto l ->
+    fun _ ->
+      tick st;
+      raise (Jump l)
+  | Scontinue -> fun _ -> tick st
+  | Sreturn ->
+    fun _ ->
+      tick st;
+      raise Return_from_proc
+  | Sstop ->
+    fun _ ->
+      tick st;
+      raise Stop_program
   | Sprint args ->
     let piece (e : Prog.expr) =
-      match e.edesc with
-      | Cstr str -> str
-      | _ -> Fmt.str "%a" pp_value (eval st frame e)
+      match e.edesc with Cstr str -> Text str | _ -> Value (cexpr st env e)
     in
-    let line = String.concat " " (List.map piece args) in
-    st.buf_outputs := line :: !(st.buf_outputs)
+    let pieces = List.map piece args in
+    fun fr ->
+      tick st;
+      st.outputs <- String.concat " " (print_pieces fr pieces) :: st.outputs
   | Sread ls ->
-    List.iter
-      (fun lhs ->
-        let next =
-          match st.input with
-          | [] -> 0
-          | x :: rest ->
-            st.input <- rest;
-            x
-        in
-        match lhs with
-        | Prog.Lvar v ->
-          scalar_cell st frame v := Some (coerce v.vty (Vint next))
-        | Prog.Larr (v, idx) ->
-          element_cell st frame v idx := Some (coerce v.vty (Vint next)))
-      ls
+    let sets = List.map (fun l -> clhs st env l) ls in
+    fun fr ->
+      tick st;
+      List.iter
+        (fun set ->
+          let next =
+            match st.input with
+            | [] -> 0
+            | x :: rest ->
+              st.input <- rest;
+              x
+          in
+          set fr (Vint next))
+        sets
 
 (* ------------------------------------------------------------------ *)
 (* Entry point.                                                        *)
@@ -500,24 +775,37 @@ let default_fuel = 2_000_000
     (expressions + statements); [input] feeds [read] statements (exhausted
     input reads 0); [trace_entries] controls whether procedure-entry
     snapshots are recorded (they cost time and memory). *)
-let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
+let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?watch
     (prog : Prog.t) : result =
-  let procs = Prog.index_procs prog in
-  let main = Prog.indexed_proc_exn procs prog.main in
+  let procs = Hashtbl.create (List.length prog.procs) in
+  List.iter
+    (fun (p : Prog.proc) ->
+      if not (Hashtbl.mem procs p.pname) then
+        Hashtbl.add procs p.pname { proc = p; code = None })
+    prog.procs;
   let st =
     {
       procs;
-      globals = Hashtbl.create 32;
+      compiled = 0;
+      gindex = Hashtbl.create 16;
+      globals = [||];
       fuel;
-      buf_outputs = ref [];
-      buf_entries = ref [];
+      outputs = [];
+      entries = [];
       input;
       total_steps = 0;
       trace_entries;
-      on_expr;
+      watch;
     }
   in
-  let frame = { vars = Hashtbl.create 16 } in
+  let main_entry =
+    match Hashtbl.find_opt procs prog.main with
+    | Some e -> e
+    | None -> Prog.no_proc prog.main
+  in
+  let main_env = { names = []; next = 0 } in
+  let main = compile_proc st main_entry main_env in
+  let frame = Array.make main.nslots unbound in
   (* load-time [data] initialization: common globals from any unit, and the
      main program's own locals *)
   let value_of_const = function
@@ -525,9 +813,9 @@ let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
     | Prog.Dc_real f -> Vreal f
     | Prog.Dc_bool b -> Vbool b
   in
-  let apply_data owner_frame (d : Prog.data_init) =
+  let apply_data (d : Prog.data_init) p =
     let cells =
-      match storage_of_var st owner_frame d.di_var with
+      match storage st frame d.di_var p with
       | Scalar c -> [| c |]
       | Array cells -> cells
     in
@@ -547,14 +835,15 @@ let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
       List.iter
         (fun (d : Prog.data_init) ->
           match d.di_var.vkind with
-          | Prog.Kglobal _ -> apply_data frame d
-          | Prog.Klocal when p.pname = prog.main -> apply_data frame d
+          | Prog.Kglobal g -> apply_data d (-1 - global_index st g)
+          | Prog.Klocal when p.pname = prog.main ->
+            apply_data d (List.assoc d.di_var.vname main_env.names)
           | _ -> ())
         p.pdata)
     prog.procs;
-  snapshot_entry st main frame.vars;
+  if trace_entries then snapshot_entry st main_entry.proc main frame;
   let outcome =
-    match exec_body st frame main.pbody with
+    match main.body frame with
     | () -> Finished
     | exception Stop_program -> Finished
     | exception Return_from_proc -> Finished
@@ -562,9 +851,10 @@ let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
     | exception Runtime msg -> Failed msg
     | exception Jump l -> Failed (Fmt.str "jump to label %d entered a block" l)
   in
+  Ipcp_telemetry.Telemetry.add "interp.procs_resolved" st.compiled;
   {
-    outputs = List.rev !(st.buf_outputs);
-    entries = List.rev !(st.buf_entries);
+    outputs = List.rev st.outputs;
+    entries = List.rev st.entries;
     steps = st.total_steps;
     outcome;
   }

@@ -41,13 +41,20 @@ val default_fuel : int
 (** Run the main program.  [fuel] (default {!default_fuel}) bounds
     interpreter steps; [input] feeds [read] statements (exhausted input
     reads 0); [trace_entries] controls whether entry snapshots are
-    recorded; [on_expr] (if given) observes every expression evaluation
-    as [(expression id, value)] — the certifier uses it to witness that
-    claimed constant uses really hold on every execution. *)
+    recorded.
+
+    Names are resolved once per run: each procedure is compiled into
+    closures over an array frame when it is first called.  [watch] (if
+    given) is asked once per expression id while its procedure compiles;
+    [Some f] makes [f] observe every evaluation of that expression, in
+    order, and [None] leaves the expression unobserved at no cost — the
+    certifier watches exactly the uses and branches it has claims on.
+    Adds the number of procedures compiled to the telemetry counter
+    [interp.procs_resolved]. *)
 val run :
   ?fuel:int ->
   ?input:int list ->
   ?trace_entries:bool ->
-  ?on_expr:(int -> value -> unit) ->
+  ?watch:(int -> (value -> unit) option) ->
   Prog.t ->
   result

@@ -11,6 +11,7 @@ let () =
       ("engine", Test_engine.suite);
       ("frontend", Test_frontend.suite);
       ("interp", Test_interp.suite);
+      ("witness", Test_witness.suite);
       ("data", Test_data_stmt.suite);
       ("intrinsics", Test_intrinsics.suite);
       ("ir", Test_ir.suite);

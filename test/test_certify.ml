@@ -110,6 +110,57 @@ let test_exec_witnessed () =
         r.Certify.exec_checked)
     (suite_programs ())
 
+(* ---- the execution witness watches claimed expressions ---- *)
+
+(* A constant formal used in a loop, its binding corrupted from 5 to 6:
+   the claimed use evaluates three times with the wrong value but is
+   reported once. *)
+let test_exec_flags_each_eid_once () =
+  let prog =
+    Sema.parse_and_resolve
+      "program t\ninteger k\nk = 5\ncall s(k)\nend\nsubroutine s(n)\n\
+       integer n, i, x\nx = 0\ndo i = 1, 3\nx = x + n\nend do\nprint *, x\n\
+       end\n"
+  in
+  let t = Driver.analyze Config.default prog in
+  let solution = t.Driver.solution in
+  let vals = Hashtbl.copy solution.Solver.vals in
+  Hashtbl.replace vals "s"
+    (Prog.Param_map.add (Prog.Pformal 0) (Ipcp_analysis.Const_lattice.Const 6)
+       (Hashtbl.find vals "s"));
+  let bad = { t with Driver.solution = { solution with Solver.vals } } in
+  let r = Certify.check ~inject_fault:false bad in
+  let uses =
+    List.filter
+      (fun (v : Certify.violation) ->
+        v.v_code = "E-CERT-EXEC"
+        && String.length v.v_msg > 20
+        && String.sub v.v_msg 0 20 = "claimed constant use")
+      r.Certify.violations
+  in
+  check Alcotest.int "one E-CERT-EXEC for the claimed use in the loop" 1
+    (List.length uses);
+  check Alcotest.int "located on the loop body's line" 10
+    (List.hd uses).Certify.v_loc.Loc.line
+
+(* Certification shares no interpreter state between domains: two
+   domains certifying the whole suite at once report exactly what one
+   domain does. *)
+let test_exec_two_domains () =
+  let render () =
+    List.concat_map
+      (fun (name, _, prog) ->
+        List.map
+          (fun (label, r) -> Fmt.str "%s %s %a" name label Certify.pp_report r)
+          (Certify.check_program prog))
+      (suite_programs ())
+  in
+  let alone = render () in
+  let d1 = Domain.spawn render and d2 = Domain.spawn render in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check (Alcotest.list Alcotest.string) "first domain" alone r1;
+  check (Alcotest.list Alcotest.string) "second domain" alone r2
+
 (* ---- corruption is detected ---- *)
 
 let test_corrupt_detected () =
@@ -299,6 +350,10 @@ let suite =
     ("copy: suite certifies under configs x budgets", `Quick, test_copy_suite_under_budgets);
     ("copy: corruption detected", `Quick, test_copy_corrupt_detected);
     ("execution witnessed on suite", `Quick, test_exec_witnessed);
+    ( "exec: one violation per claimed eid",
+      `Quick,
+      test_exec_flags_each_eid_once );
+    ("exec: two domains certify alike", `Quick, test_exec_two_domains);
     ("corruption detected on every program", `Quick, test_corrupt_detected);
     ("corruption detected under many seeds", `Quick, test_corrupt_detected_every_seed);
     ("Fault hook corrupts and is caught", `Quick, test_fault_hook_corrupts);

@@ -204,8 +204,101 @@ let test_int_pow_negative_exponent () =
     "program t\ninteger k\nk = -1\nprint *, 2 ** k, 1 ** k, (-1) ** k\nend\n"
     [ "0 1 -1" ]
 
+(* ---- the watch hook ---- *)
+
+let find_expr prog pred =
+  let found = ref None in
+  List.iter
+    (fun (p : Prog.proc) ->
+      Prog.iter_exprs
+        (fun e -> if !found = None && pred e then found := Some e.Prog.eid)
+        p.pbody)
+    prog.Prog.procs;
+  match !found with Some eid -> eid | None -> fail "expression not found"
+
+let test_watch_sees_watched_only () =
+  let prog =
+    Sema.parse_and_resolve
+      "program t\ninteger i, s\ns = 0\ndo i = 1, 4\ns = s + i * 2\nend do\n\
+       call acc(s)\nprint *, s\nend\nsubroutine acc(x)\ninteger x\n\
+       x = x * 3\nend\n"
+  in
+  let target =
+    find_expr prog (fun e ->
+        match e.edesc with Prog.Ebin (Ast.Mul, _, _) -> true | _ -> false)
+  in
+  (* every evaluation, through a watch on every expression *)
+  let all = ref [] in
+  let r_all =
+    Interp.run ~watch:(fun eid -> Some (fun v -> all := (eid, v) :: !all)) prog
+  in
+  let asked = Hashtbl.create 16 in
+  let seen = ref [] in
+  let r =
+    Interp.run
+      ~watch:(fun eid ->
+        Hashtbl.replace asked eid
+          (1 + Option.value ~default:0 (Hashtbl.find_opt asked eid));
+        if eid = target then Some (fun v -> seen := (eid, v) :: !seen)
+        else None)
+      prog
+  in
+  check Alcotest.int "watched run takes the same steps" r_all.Interp.steps
+    r.Interp.steps;
+  check (Alcotest.list Alcotest.string) "same outputs" r_all.Interp.outputs
+    r.Interp.outputs;
+  Hashtbl.iter
+    (fun eid n -> check Alcotest.int (Fmt.str "eid %d asked once" eid) 1 n)
+    asked;
+  check Alcotest.bool "the watched expression was asked" true
+    (Hashtbl.mem asked target);
+  let expected = List.rev (List.filter (fun (eid, _) -> eid = target) !all) in
+  check Alcotest.int "four evaluations" 4 (List.length expected);
+  check Alcotest.bool "every evaluation of the watched expression, in order"
+    true
+    (List.equal
+       (fun (a, v) (b, w) -> a = b && Interp.equal_value v w)
+       expected (List.rev !seen));
+  check Alcotest.bool "values 2, 4, 6, 8" true
+    (List.map snd (List.rev !seen)
+    = [ Interp.Vint 2; Interp.Vint 4; Interp.Vint 6; Interp.Vint 8 ])
+
+(* Names resolve once per run: a 400-procedure recursive ring entered
+   2001 times compiles each procedure once. *)
+let test_procs_resolved_once () =
+  let n = 400 and countdown = 2000 in
+  let b = Buffer.create (n * 96) in
+  Printf.bprintf b
+    "program rgmain\n  integer k, m\n  k = 7\n  m = %d\n  call p1(k, m)\nend\n"
+    countdown;
+  for i = 1 to n do
+    Printf.bprintf b
+      "subroutine p%d(a, n)\n  integer a, n\n  if (n .gt. 0) then\n    call \
+       p%d(a, n - 1)\n  end if\nend\n"
+      i
+      (if i = n then 1 else i + 1)
+  done;
+  let prog = Sema.parse_and_resolve (Buffer.contents b) in
+  let module Telemetry = Ipcp_telemetry.Telemetry in
+  let t = Telemetry.create () in
+  let r = Telemetry.with_reporter t (fun () -> Interp.run prog) in
+  check Alcotest.bool "finished" true (r.Interp.outcome = Interp.Finished);
+  let distinct =
+    List.sort_uniq compare
+      (List.map (fun (e : Interp.entry_snapshot) -> e.es_proc) r.Interp.entries)
+  in
+  check Alcotest.int "calls" (countdown + 1) (List.length r.Interp.entries - 1);
+  check Alcotest.int "distinct procedures entered" (n + 1)
+    (List.length distinct);
+  check (Alcotest.option Alcotest.int) "interp.procs_resolved" (Some (n + 1))
+    (Telemetry.counter t "interp.procs_resolved")
+
 let suite =
   [
+    ( "watch sees watched expressions only",
+      `Quick,
+      test_watch_sees_watched_only );
+    ("procedures resolved once per run", `Quick, test_procs_resolved_once);
     ("arith precedence", `Quick, test_arith);
     ("integer division truncates", `Quick, test_integer_division_truncates);
     ("real arithmetic", `Quick, test_real_arithmetic);
