@@ -983,13 +983,8 @@ let route_cmd =
 
 (* ---------------- broken-pipe handling ---------------- *)
 
-let contains ~sub s =
-  let n = String.length s and k = String.length sub in
-  let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
-  k = 0 || scan 0
-
 (* The runtime renders EPIPE on a channel as Sys_error "Broken pipe". *)
-let is_broken_pipe m = contains ~sub:"Broken pipe" m
+let is_broken_pipe m = Ipcp_serve.Server.contains ~sub:"Broken pipe" m
 
 (* Once the downstream reader is gone, every later flush of stdout —
    including the runtime's at-exit flush of the Format and channel

@@ -30,6 +30,17 @@ if [ "$selects" -ne 1 ]; then
   exit 1
 fi
 
+echo "== one health assembler"
+# serve, shard and router health documents all come from Health.snapshot:
+# lib/serve holds exactly one call of the ipcp.health/1 builder, so a
+# second hand-listed health document cannot grow back unnoticed.
+snapshots=$(cat lib/serve/*.ml | grep -o 'Telemetry\.health_snapshot' | wc -l)
+if [ "$snapshots" -ne 1 ]; then
+  echo "health: $snapshots Telemetry.health_snapshot call sites in lib/serve, expected 1" >&2
+  grep -n 'Telemetry\.health_snapshot' lib/serve/*.ml >&2 || true
+  exit 1
+fi
+
 echo "== build"
 dune build
 
@@ -217,6 +228,27 @@ dune exec --no-build -- ipcp analyze "$next_f" --against "$prev_f" \
 dune exec --no-build tools/profile_lint.exe -- "$tmpdir/incr_profile.json"
 if ! grep -q 'incr\.cone_size' "$tmpdir/incr_profile.json"; then
   echo "incremental: --against run carried no incr.cone_size counter" >&2
+  exit 1
+fi
+
+# Linear call-graph diff: an 8000-procedure generated program with one
+# literal edited re-analyzes incrementally under a hang guard, and the
+# result is byte-identical to a from-scratch analyze of the edited
+# version.
+dune exec --no-build -- ipcp generate --procs=8000 --seed=3 > "$tmpdir/gen8000.f"
+awk '!done && /^  lv1 = [0-9]+$/ { sub(/= [0-9]+$/, "= 99"); done = 1 } { print }' \
+  "$tmpdir/gen8000.f" > "$tmpdir/gen8000.edit.f"
+if cmp -s "$tmpdir/gen8000.f" "$tmpdir/gen8000.edit.f"; then
+  echo "incremental: the 8000-procedure edit changed nothing" >&2
+  exit 1
+fi
+timeout 60 _build/default/bin/ipcp.exe analyze "$tmpdir/gen8000.edit.f" \
+  --against "$tmpdir/gen8000.f" > "$tmpdir/gen8000.incr.out"
+timeout 60 _build/default/bin/ipcp.exe analyze "$tmpdir/gen8000.edit.f" \
+  > "$tmpdir/gen8000.scratch.out"
+if ! cmp -s "$tmpdir/gen8000.incr.out" "$tmpdir/gen8000.scratch.out"; then
+  echo "incremental: analyze --against at 8000 procedures differs from scratch" >&2
+  diff "$tmpdir/gen8000.incr.out" "$tmpdir/gen8000.scratch.out" | head >&2 || true
   exit 1
 fi
 

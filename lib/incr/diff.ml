@@ -27,6 +27,20 @@ let edge_pairs (cg : Callgraph.t) : (string * string) list =
   List.sort_uniq compare
     (List.map (fun (e : Callgraph.edge) -> (e.e_caller, e.e_callee)) cg.edges)
 
+(* One merge walk over two sorted, duplicate-free lists. *)
+let sorted_diff a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ -> List.rev acc
+    | _, [] -> List.rev_append acc a
+    | x :: a', y :: b' ->
+      let c = compare x y in
+      if c < 0 then go (x :: acc) a' b
+      else if c > 0 then go acc a b'
+      else go acc a' b'
+  in
+  go [] a b
+
 let compute_with ~(old_cg : Callgraph.t) ~(new_cg : Callgraph.t)
     ~(old_sem : (string, string) Hashtbl.t)
     ~(new_sem : (string, string) Hashtbl.t) : t =
@@ -47,10 +61,8 @@ let compute_with ~(old_cg : Callgraph.t) ~(new_cg : Callgraph.t)
       old_names
   in
   let old_edges = edge_pairs old_cg and new_edges = edge_pairs new_cg in
-  let added_edges = List.filter (fun e -> not (List.mem e old_edges)) new_edges in
-  let removed_edges =
-    List.filter (fun e -> not (List.mem e new_edges)) old_edges
-  in
+  let added_edges = sorted_diff new_edges old_edges in
+  let removed_edges = sorted_diff old_edges new_edges in
   { added_procs; removed_procs; changed_procs; added_edges; removed_edges }
 
 let compute (old_prog : Prog.t) (new_prog : Prog.t) : t =

@@ -23,6 +23,11 @@ type t = {
 
 val is_empty : t -> bool
 
+(** [sorted_diff a b] is [a] without the elements of [b], for lists
+    sorted by [compare] without duplicates: one merge walk, linear in
+    [|a| + |b|]. *)
+val sorted_diff : 'a list -> 'a list -> 'a list
+
 (** Diff from prebuilt call graphs and semantic-hash tables (the
     incremental session already has all four). *)
 val compute_with :

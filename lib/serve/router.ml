@@ -1,5 +1,4 @@
 module Json = Ipcp_telemetry.Json
-module Telemetry = Ipcp_telemetry.Telemetry
 module Loop = Transport.Loop
 
 (* ---------------- the consistent-hash ring ---------------- *)
@@ -59,17 +58,6 @@ end
 
 (* ---------------- routing keys ---------------- *)
 
-let read_file_opt path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | s -> Some s
-        | exception (End_of_file | Sys_error _) -> None)
-
 let route_key (req : Request.t) =
   match req.rq_op with
   | Request.Health -> "op:health"
@@ -93,9 +81,9 @@ let route_key (req : Request.t) =
         "prog:" ^ Digest.to_hex (Digest.string e.Ipcp_suite.Registry.source)
       | None -> "suite:" ^ s)
     | Some (Request.File p) -> (
-      match read_file_opt p with
-      | Some src -> "prog:" ^ Digest.to_hex (Digest.string src)
-      | None -> "path:" ^ p))
+      match In_channel.with_open_bin p In_channel.input_all with
+      | src -> "prog:" ^ Digest.to_hex (Digest.string src)
+      | exception Sys_error _ -> "path:" ^ p))
 
 (* ---------------- configuration ---------------- *)
 
@@ -178,23 +166,26 @@ type slot_state = {
   mutable s_hb_missed : int;  (** consecutive pings with no frame since *)
 }
 
-type stats = {
-  mutable rx : int;
-  mutable forwarded : int;
-  mutable completed : int;
-  mutable rerouted : int;
-  mutable lost : int;
-  mutable quarantined : int;
-  mutable invalid : int;
-  mutable drained : int;
-  mutable restarts : int;
-  mutable deadline_expired : int;
-  mutable hedged : int;
-  mutable ejections : int;
-  mutable late_dropped : int;
-      (** late answers from a slow shard discarded by the response
-          ledger after the hedge already answered *)
-}
+(* Every reading a router reports besides its live gauges, each name
+   written once. *)
+let schema = Health.schema ()
+let counter = Health.counter schema
+let rx = counter "router.requests"
+let forwarded = counter "router.forwarded"
+let completed = counter "router.completed"
+let rerouted = counter "router.rerouted"
+let lost = counter "router.lost"
+let quarantined = counter "router.quarantined"
+let invalid = counter "router.invalid"
+let drained = counter "router.drained"
+let restarts = counter "router.shard_restarts"
+let deadline_expired = counter "router.deadline_expired"
+let hedged = counter "router.hedged"
+let ejections = counter "router.ejections"
+
+(* late answers from a slow shard, discarded by the response ledger
+   after the hedge already answered *)
+let late_dropped = counter "router.late_dropped"
 
 type rt = {
   cfg : config;
@@ -206,27 +197,16 @@ type rt = {
   waiting : pending Queue.t;  (** admitted, no live shard yet *)
   aggs : (string, agg) Hashtbl.t;
   breaker : Server.Breaker.t;  (** shard crashes per input key *)
-  st : stats;
+  n : Health.t;
+  out : Server.Outlet.t;
+      (** stdout: one debt per admitted client line, settled by its
+          terminal frame *)
   loop : Loop.t;
   mutable seq : int;
   mutable hseq : int;
   mutable pseq : int;  (** ping sequence ([g<pseq>.<slot>] iids) *)
   mutable eof : bool;  (** stdin closed (or stop observed) *)
-  mutable out_dead : bool;
 }
-
-(* ---------------- output ---------------- *)
-
-(* Stdout is the response stream; a dead stdout latches (the router
-   finishes its bookkeeping but stops writing) and surfaces as exit 3,
-   exactly like the stdio server. *)
-let emit rt (r : Request.response) =
-  if not rt.out_dead then
-    try
-      print_string (Request.response_to_line r);
-      print_newline ();
-      flush stdout
-    with Sys_error _ -> rt.out_dead <- true
 
 let lost_response (p : pending) =
   Request.response ~id:p.p_orig_id ~code:Jobs.exit_internal
@@ -275,67 +255,25 @@ let write_pids rt =
             | None -> ())
           rt.slots)
 
-let merged_health rt docs =
-  let sum section =
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun doc ->
-        match Json.member section doc with
-        | Some (Json.Obj fields) ->
-          List.iter
-            (fun (k, v) ->
-              match v with
-              | Json.Int i ->
-                Hashtbl.replace tbl k
-                  (Option.value ~default:0 (Hashtbl.find_opt tbl k) + i)
-              | _ -> ())
-            fields
-        | _ -> ())
-      docs;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  in
-  let gauges =
-    sum "gauges"
-    @ [
-        ("router.shards", rt.cfg.shards);
-        ("router.shards_up", shards_up rt);
-        ("router.pending", Hashtbl.length rt.pending);
-        ("router.waiting", Queue.length rt.waiting);
-        ("router.heartbeat_age_ms", heartbeat_age_ms rt);
-      ]
-  in
-  let counters =
-    sum "counters"
-    @ [
-        ("router.requests", rt.st.rx);
-        ("router.forwarded", rt.st.forwarded);
-        ("router.completed", rt.st.completed);
-        ("router.rerouted", rt.st.rerouted);
-        ("router.lost", rt.st.lost);
-        ("router.quarantined", rt.st.quarantined);
-        ("router.invalid", rt.st.invalid);
-        ("router.drained", rt.st.drained);
-        ("router.shard_restarts", rt.st.restarts);
-        ("router.deadline_expired", rt.st.deadline_expired);
-        ("router.hedged", rt.st.hedged);
-        ("router.ejections", rt.st.ejections);
-        ("router.late_dropped", rt.st.late_dropped);
-      ]
-  in
-  Telemetry.health_snapshot ~gauges ~counters
-
 let finish_agg rt a =
-  let doc = merged_health rt (List.rev a.a_docs) in
+  let doc =
+    Health.snapshot ~shards:(List.rev a.a_docs)
+      ?out:(match a.a_sink with `File path -> Some path | `Client _ -> None)
+      ~gauges:
+        [
+          ("router.shards", rt.cfg.shards);
+          ("router.shards_up", shards_up rt);
+          ("router.pending", Hashtbl.length rt.pending);
+          ("router.waiting", Queue.length rt.waiting);
+          ("router.heartbeat_age_ms", heartbeat_age_ms rt);
+        ]
+      rt.n
+  in
   match a.a_sink with
   | `Client id ->
-    emit rt (Request.response ~id ~code:0 ~health:doc Request.Ok_done)
-  | `File path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n')
+    Server.Outlet.respond rt.out
+      (Request.response ~id ~code:0 ~health:doc Request.Ok_done)
+  | `File _ -> ()
 
 (* A health part whose shard died before answering: the merge proceeds
    without that shard's contribution. *)
@@ -387,7 +325,7 @@ let rec forward_order rt p order =
             p.p_due <-
               Unix.gettimeofday ()
               +. (float_of_int rt.cfg.route_deadline_ms /. 1000.0);
-          rt.st.forwarded <- rt.st.forwarded + 1
+          Health.bump rt.n forwarded
         end
         else begin
           (* the connection just broke: run the death protocol (which
@@ -424,7 +362,7 @@ and shard_died ?(eject = false) rt slot =
     Loop.remove rt.loop c;
     if eject then Shard.terminate ~patience_ms:500 sh else Shard.abandon sh;
     schedule_respawn rt ss;
-    rt.st.restarts <- rt.st.restarts + 1;
+    Health.bump rt.n restarts;
     let iids = Hashtbl.fold (fun k () acc -> k :: acc) ss.s_inflight [] in
     Hashtbl.reset ss.s_inflight;
     List.iter
@@ -439,12 +377,12 @@ and shard_died ?(eject = false) rt slot =
           Server.Breaker.note rt.breaker p.p_ikey ~crashed:true;
           if p.p_rerouted then begin
             Hashtbl.remove rt.pending iid;
-            rt.st.lost <- rt.st.lost + 1;
-            emit rt (lost_response p)
+            Health.bump rt.n lost;
+            Server.Outlet.respond rt.out (lost_response p)
           end
           else begin
             p.p_rerouted <- true;
-            rt.st.rerouted <- rt.st.rerouted + 1;
+            Health.bump rt.n rerouted;
             forward rt p
           end
         | None -> agg_drop rt iid)
@@ -469,8 +407,8 @@ and resolve rt ss line =
         (* a served input is behaving again: close its breaker *)
         if r.Request.rs_status = Request.Ok_done then
           Server.Breaker.note rt.breaker p.p_ikey ~crashed:false;
-        rt.st.completed <- rt.st.completed + 1;
-        emit rt { r with Request.rs_id = p.p_orig_id }
+        Health.bump rt.n completed;
+        Server.Outlet.respond rt.out { r with Request.rs_id = p.p_orig_id }
       | None -> (
         match Hashtbl.find_opt rt.aggs iid with
         | Some a ->
@@ -488,7 +426,7 @@ and resolve rt ss line =
              ([g*]) land here by design and count as nothing; any frame
              already refreshed [s_hb_seen]. *)
           if String.length iid > 0 && iid.[0] = 'x' then
-            rt.st.late_dropped <- rt.st.late_dropped + 1))
+            Health.bump rt.n late_dropped))
 
 let flush_waiting rt =
   let parked = Queue.length rt.waiting in
@@ -558,7 +496,7 @@ let heartbeat rt =
               ss.s_hb_missed <- ss.s_hb_missed + 1
             else ss.s_hb_missed <- 0;
             if ss.s_hb_missed >= rt.cfg.heartbeat_misses then begin
-              rt.st.ejections <- rt.st.ejections + 1;
+              Health.bump rt.n ejections;
               prerr_endline
                 (Printf.sprintf
                    "ipcp route: shard %d missed %d heartbeats; ejecting \
@@ -605,8 +543,8 @@ let check_route_deadlines rt =
     List.iter
       (fun p ->
         p.p_rerouted <- true;
-        rt.st.deadline_expired <- rt.st.deadline_expired + 1;
-        rt.st.hedged <- rt.st.hedged + 1;
+        Health.bump rt.n deadline_expired;
+        Health.bump rt.n hedged;
         let prev = p.p_slot in
         (* prefer any slot other than the slow one; a one-shard fleet
            can only retry the same slot *)
@@ -644,18 +582,19 @@ let start_health rt sink =
 
 let admit rt line =
   if String.trim line <> "" then begin
-    rt.st.rx <- rt.st.rx + 1;
+    Server.Outlet.owe rt.out;
+    Health.bump rt.n rx;
     match Request.of_line line with
     | Error pe ->
-      rt.st.invalid <- rt.st.invalid + 1;
-      emit rt (Server.invalid_response pe)
+      Health.bump rt.n invalid;
+      Server.Outlet.respond rt.out (Server.invalid_response pe)
     | Ok req when req.Request.rq_op = Request.Health ->
       start_health rt (`Client req.Request.rq_id)
     | Ok req ->
       let ikey = Request.input_key req in
       if Server.Breaker.decide rt.breaker ikey = `Deny then begin
-        rt.st.quarantined <- rt.st.quarantined + 1;
-        emit rt (Server.quarantined_response req)
+        Health.bump rt.n quarantined;
+        Server.Outlet.respond rt.out (Server.quarantined_response req)
       end
       else begin
         rt.seq <- rt.seq + 1;
@@ -739,28 +678,13 @@ let run cfg =
       aggs = Hashtbl.create 8;
       breaker =
         Server.Breaker.create ~threshold:cfg.breaker_threshold ~reset_after:0;
-      st =
-        {
-          rx = 0;
-          forwarded = 0;
-          completed = 0;
-          rerouted = 0;
-          lost = 0;
-          quarantined = 0;
-          invalid = 0;
-          drained = 0;
-          restarts = 0;
-          deadline_expired = 0;
-          hedged = 0;
-          ejections = 0;
-          late_dropped = 0;
-        };
+      n = Health.table [ schema ];
+      out = Server.Outlet.channel stdout;
       loop = Loop.create ();
       seq = 0;
       hseq = 0;
       pseq = 0;
       eof = false;
-      out_dead = false;
     }
   in
   Loop.with_signals @@ fun () ->
@@ -772,9 +696,10 @@ let run cfg =
       ~on_line:(fun line ->
         if Loop.stopping () then
           Server.reject_drained line (fun r ->
-              rt.st.rx <- rt.st.rx + 1;
-              rt.st.drained <- rt.st.drained + 1;
-              emit rt r)
+              Server.Outlet.owe rt.out;
+              Health.bump rt.n rx;
+              Health.bump rt.n drained;
+              Server.Outlet.respond rt.out r)
         else admit rt line)
       ~on_end:(fun _ -> rt.eof <- true)
       Unix.stdin
@@ -787,11 +712,11 @@ let run cfg =
     heartbeat rt;
     check_route_deadlines rt
   in
+  (* the conservation law of a socket connection, applied to stdout: the
+     router is done once the client is and every admitted line has its
+     terminal frame *)
   Loop.run rt.loop ~tick ~until:(fun () ->
-      rt.eof
-      && Hashtbl.length rt.pending = 0
-      && Queue.is_empty rt.waiting
-      && Hashtbl.length rt.aggs = 0);
+      rt.eof && Server.Outlet.owing rt.out = 0);
   (* final merged snapshot, while the shards still answer *)
   (match cfg.health_out with
   | None -> ()
@@ -803,4 +728,4 @@ let run cfg =
   Array.iter (fun ss -> Option.iter (fun (sh, _) -> Shard.terminate sh) ss.s_up)
     rt.slots;
   if rt.dir_owned then (try Unix.rmdir rt.dir with Unix.Unix_error _ -> ());
-  if rt.out_dead then Jobs.exit_input else 0
+  Server.Outlet.close rt.out

@@ -1,7 +1,6 @@
 open Ipcp_core
 module Fault = Ipcp_support.Fault
 module Prng = Ipcp_support.Prng
-module Telemetry = Ipcp_telemetry.Telemetry
 module Incr = Ipcp_incr.Incr
 module Copy_incr = Ipcp_incr.Incr.Make (Ipcp_analysis.Copy_analysis)
 module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
@@ -59,77 +58,152 @@ let contains ~sub s =
   let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
   k = 0 || scan 0
 
-(* ---------------- outlets ---------------- *)
+(* ---------------- readings ---------------- *)
 
-(* Where one request's terminal response goes: the single stdio channel
-   in pipe mode, or the client connection that submitted it in socket
-   mode.  [ol_pending] counts terminal responses owed to the peer (the
-   per-connection share of the conservation law — the listener closes a
-   connection only once it reaches zero); [ol_dead] latches on the first
-   failed write. *)
-type outlet = {
-  ol_mu : Mutex.t;
-  ol_dest : [ `Channel of out_channel | `Sock of Transport.Outbuf.t ];
-  mutable ol_dead : bool;
-  mutable ol_pending : int;
-}
+(* Every reading a server reports, each name written once; the state's
+   table starts them all at 0. *)
+let schema = Health.schema ()
+let counter = Health.counter schema
+let requests = counter "serve.requests"
+let completed = counter "serve.completed"
+let errors = counter "serve.errors"
+(* responses withheld because online certification failed *)
+let cert_withheld = counter "serve.certification_failed"
+let shed = counter "serve.shed"
+let rejected = counter "serve.rejected"
+let quarantined = counter "serve.quarantined"
+let invalid = counter "serve.invalid"
+let delta_updates = counter "serve.delta_updates"
+let delta_fresh = counter "serve.delta_fresh"
+let conns_accepted = counter "serve.conns_accepted"
+(* responses undeliverable because the client connection died *)
+let client_gone = counter "serve.client_gone"
+let req_oversize = counter "serve.req_oversize"
+let req_timeout = counter "serve.req_timeout"
+let memo_hits = counter "serve.prepare_memo_hits"
+let cert_sampled = counter "certify.sampled"
+let cert_passed = counter "certify.passed"
+let cert_failed = counter "certify.failed"
+(* online checks forced by the cache-hit / restored-session policy *)
+let cert_cache_checked = counter "certify.cache_hits_checked"
+let cone_size = counter "incr.cone_size"
+let procs_reused = counter "incr.procs_reused"
+let procs_resolved = counter "incr.procs_resolved"
+let worker_restarts = Health.gauge schema "serve.worker_restarts"
 
-let outlet dest =
-  {
-    ol_mu = Mutex.create ();
-    ol_dest = dest;
-    ol_dead = false;
-    ol_pending = 0;
-  }
-
-(* One request line was submitted on this outlet: a terminal response is
-   now owed. *)
-let owe o =
-  Mutex.lock o.ol_mu;
-  o.ol_pending <- o.ol_pending + 1;
-  Mutex.unlock o.ol_mu
+(* Declared only when an artifact cache is configured: commits refused
+   by the disk, each one arming or re-arming the cacheless latch. *)
+let cache_schema = Health.schema ()
+let cache_disk_errors = Health.counter cache_schema "serve.cache_disk_errors"
 
 (* Worker domains log through one mutex so accounting entries never
    interleave mid-line. *)
 let log_mu = Mutex.create ()
 
-let log_line s =
-  Mutex.lock log_mu;
-  prerr_endline s;
-  Mutex.unlock log_mu
+let log_line s = Mutex.protect log_mu (fun () -> prerr_endline s)
 
-type job = { j_seq : int; j_req : Request.t; j_probe : bool; j_outlet : outlet }
+(* ---------------- outlets ---------------- *)
 
-type counters = {
-  mutable received : int;
-  mutable completed : int;
-  mutable errors : int;
-  mutable cert_failed : int;
-      (** responses withheld because online certification failed *)
-  mutable shed : int;
-  mutable rejected : int;
-  mutable quarantined : int;
-  mutable invalid : int;
-  mutable restarts_total : int;
-  mutable cert_sampled : int;  (** online checks chosen by the sample rate *)
-  mutable cert_cache_checked : int;
-      (** online checks forced by the cache-hit / restored-session policy *)
-  mutable cert_passed : int;
-  mutable delta_updates : int;  (** analyze-delta served against a session *)
-  mutable delta_fresh : int;  (** analyze-delta that started a session *)
-  mutable incr_cone_size : int;
-  mutable incr_procs_reused : int;
-  mutable incr_procs_resolved : int;
-  mutable conns_accepted : int;  (** socket connections accepted *)
-  mutable client_gone : int;
-      (** responses undeliverable because the client connection died *)
-  mutable req_oversize : int;  (** lines refused by the length cap *)
-  mutable req_timeout : int;  (** connections refused by the read deadline *)
-  mutable memo_hits : int;  (** prepare calls answered by the in-memory memo *)
-  mutable cache_disk_errors : int;
-      (** artifact-cache commits refused by the disk (each one arms or
-          re-arms the cacheless-degradation latch) *)
-}
+(* The stderr accounting entry for a response whose client vanished: the
+   frame that could not be delivered, addressed and typed E-LOAD-GONE,
+   so an auditor can still match every submitted request to exactly one
+   terminal outcome (wire frame or log entry). *)
+let gone_entry (r : Request.response) =
+  Request.response_to_line
+    (Request.response ~id:r.Request.rs_id
+       ~reason:"client connection gone before the response could be written"
+       ~error:
+         (Err.gone
+            (Printf.sprintf
+               "terminal %s response undeliverable: client closed the \
+                connection first"
+               (Request.status_name r.Request.rs_status)))
+       r.Request.rs_status)
+
+module Outlet = struct
+  (* Where terminal responses go: a stdio channel (the server's or the
+     router's stdout), or the client connection that submitted them in
+     socket mode, whose losses are charged to that server's [n].
+     [pending] counts terminal responses owed to the peer — the
+     conservation ledger; [dead] latches on the first failed write. *)
+  type t = {
+    mu : Mutex.t;
+    dest : [ `Channel of out_channel | `Sock of Transport.Outbuf.t * Health.t ];
+    mutable dead : bool;
+    mutable pending : int;
+  }
+
+  let make dest = { mu = Mutex.create (); dest; dead = false; pending = 0 }
+  let channel oc = make (`Channel oc)
+
+  (* One request line was submitted on this outlet: a terminal response is
+     now owed. *)
+  let owe o = Mutex.protect o.mu (fun () -> o.pending <- o.pending + 1)
+  let owing o = Mutex.protect o.mu (fun () -> o.pending)
+
+  (* Latch dead, charging a socket's loss once, under [o.mu]. *)
+  let lose o entry =
+    if not o.dead then begin
+      o.dead <- true;
+      match o.dest with
+      | `Channel _ -> ()
+      | `Sock (_, n) ->
+        Health.bump n client_gone;
+        log_line entry
+    end
+
+  (* One frame per response, flushed immediately so a client sees each
+     result as it lands.  A dead outlet latches: the owner keeps draining
+     — jobs are cheap to finish and the accounting stays consistent — but
+     stops writing to that peer.  On a channel this surfaces as exit 3
+     ({!close}); on a socket the loss is counted and logged (E-LOAD-GONE)
+     and the server lives on — one flaky client must never kill the
+     shard. *)
+  let respond o r =
+    Mutex.protect o.mu (fun () ->
+        (if not o.dead then
+           let line = Request.response_to_line r ^ "\n" in
+           match o.dest with
+           | `Channel oc -> (
+             try
+               output_string oc line;
+               flush oc
+             with Sys_error _ -> o.dead <- true)
+           | `Sock (ob, _) -> (
+             (* never blocks: the kernel-refused tail is buffered and
+                resumed from the select loop when the fd turns writable *)
+             match Transport.Outbuf.write ob line with
+             | `Ok | `Buffered -> ()
+             | `Dead -> lose o (gone_entry r)));
+        o.pending <- o.pending - 1)
+
+  (* The peer stopped reading and its buffered response tail outgrew the
+     cap, or the resumed write failed hard: charge the loss once. *)
+  let tail_gone o =
+    Mutex.protect o.mu (fun () ->
+        lose o
+          (Request.response_to_line
+             (Request.response ~id:""
+                ~reason:
+                  "client connection gone with buffered response bytes \
+                   undelivered"
+                ~error:
+                  (Err.gone
+                     "buffered response tail undeliverable: peer closed or \
+                      stopped reading")
+                Request.Error_crash)))
+
+  (* The final flush of a channel outlet: the exit code of its owner. *)
+  let close o =
+    Mutex.protect o.mu (fun () ->
+        (match o.dest with
+        | `Channel oc when not o.dead -> (
+          try flush oc with Sys_error _ -> o.dead <- true)
+        | _ -> ());
+        if o.dead then Jobs.exit_input else 0)
+end
+
+type job = { j_seq : int; j_req : Request.t; j_probe : bool; j_outlet : Outlet.t }
 
 (* ---------------- circuit breaker ---------------- *)
 
@@ -160,10 +234,6 @@ module Breaker = struct
       entries = Hashtbl.create 16;
     }
 
-  let locked b f =
-    Mutex.lock b.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock b.mu) f
-
   let entry b key =
     match Hashtbl.find_opt b.entries key with
     | Some e -> e
@@ -175,7 +245,7 @@ module Breaker = struct
   let decide b key =
     if b.threshold <= 0 then `Run false
     else
-      locked b (fun () ->
+      Mutex.protect b.mu (fun () ->
           match Hashtbl.find_opt b.entries key with
           | None -> `Run false
           | Some e ->
@@ -193,7 +263,7 @@ module Breaker = struct
 
   let note b key ~crashed =
     if b.threshold > 0 then
-      locked b (fun () ->
+      Mutex.protect b.mu (fun () ->
           if crashed then begin
             let e = entry b key in
             e.crashes <- e.crashes + 1;
@@ -204,20 +274,20 @@ module Breaker = struct
 
   let trip b key =
     if b.threshold > 0 then
-      locked b (fun () ->
+      Mutex.protect b.mu (fun () ->
           let e = entry b key in
           e.crashes <- max e.crashes b.threshold;
           e.denied <- 0;
           e.probing <- false)
 
   let release_probe b key =
-    locked b (fun () ->
+    Mutex.protect b.mu (fun () ->
         Option.iter
           (fun e -> e.probing <- false)
           (Hashtbl.find_opt b.entries key))
 
   let counts b =
-    locked b (fun () ->
+    Mutex.protect b.mu (fun () ->
         ( Hashtbl.fold
             (fun _ e n -> if e.crashes >= b.threshold then n + 1 else n)
             b.entries 0,
@@ -226,7 +296,7 @@ end
 
 type state = {
   cfg : config;
-  mu : Mutex.t;  (** guards queue, draining, counters *)
+  mu : Mutex.t;  (** guards queue, draining, [cache_down_since] *)
   cond : Condition.t;  (** queue became non-empty, or draining began *)
   queue : job Bqueue.t;
   mutable draining : bool;
@@ -239,7 +309,7 @@ type state = {
       (** the copy-propagation sessions, in their own namespace — a
           session is one lattice's fixpoint and must never be updated
           under the other *)
-  n : counters;
+  n : Health.t;
   memo_mu : Mutex.t;  (** guards the prepare memo *)
   prep_memo : (string, string) Hashtbl.t;
       (** serialized prepared artifacts by cache key — the same-program
@@ -263,127 +333,38 @@ type state = {
           as a probe that either closes the latch or re-arms it *)
 }
 
-(* ---------------- responses ---------------- *)
-
-(* The stderr accounting entry for a response whose client vanished: the
-   frame that could not be delivered, addressed and typed E-LOAD-GONE,
-   so an auditor can still match every submitted request to exactly one
-   terminal outcome (wire frame or log entry). *)
-let gone_entry (r : Request.response) =
-  Request.response_to_line
-    (Request.response ~id:r.Request.rs_id
-       ~reason:"client connection gone before the response could be written"
-       ~error:
-         (Err.gone
-            (Printf.sprintf
-               "terminal %s response undeliverable: client closed the \
-                connection first"
-               (Request.status_name r.Request.rs_status)))
-       r.Request.rs_status)
-
-(* One frame per response, flushed immediately so a client sees each
-   result as it lands.  A dead outlet latches: the server keeps draining
-   — jobs are cheap to finish and the accounting stays consistent — but
-   stops writing to that peer.  On the stdio outlet this surfaces as
-   exit 3; on a socket outlet the loss is counted and logged
-   (E-LOAD-GONE) and the server lives on — one flaky client must never
-   kill the shard. *)
-let respond st o r =
-  Mutex.lock o.ol_mu;
-  (if not o.ol_dead then
-     let line = Request.response_to_line r ^ "\n" in
-     match o.ol_dest with
-     | `Channel oc -> (
-       try
-         output_string oc line;
-         flush oc
-       with Sys_error _ -> o.ol_dead <- true)
-     | `Sock ob -> (
-       (* never blocks: the kernel-refused tail is buffered and resumed
-          from the select loop when the fd turns writable *)
-       match Transport.Outbuf.write ob line with
-       | `Ok | `Buffered -> ()
-       | `Dead ->
-         o.ol_dead <- true;
-         Mutex.lock st.mu;
-         st.n.client_gone <- st.n.client_gone + 1;
-         Mutex.unlock st.mu;
-         log_line (gone_entry r)));
-  o.ol_pending <- o.ol_pending - 1;
-  Mutex.unlock o.ol_mu
-
-let locked st f =
-  Mutex.lock st.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
-
 (* ---------------- health ---------------- *)
 
-let health_doc st =
-  let gauges, counters =
-    locked st (fun () ->
+(* This server's health document: the levels only its live state knows
+   and its cache's own counters, beside its table. *)
+let snapshot ?out st =
+  let gauges, cache_counters =
+    Mutex.protect st.mu (fun () ->
         let quarantined_inputs, breaker_entries = Breaker.counts st.breaker in
-        let gauges =
+        let live =
           [
             ("serve.queue_depth", Bqueue.length st.queue);
             ("serve.queue_capacity", Bqueue.capacity st.queue);
             ("serve.workers", st.cfg.workers);
-            ("serve.worker_restarts", st.n.restarts_total);
             ("serve.quarantined_inputs", quarantined_inputs);
             ("serve.breaker_entries", breaker_entries);
           ]
-          @
-          match st.cache with
-          | None -> []
-          | Some _ ->
-            [
-              ( "serve.cache_disabled",
-                if st.cache_down_since = None then 0 else 1 );
-            ]
         in
-        let counters =
-          [
-            ("serve.requests", st.n.received);
-            ("serve.completed", st.n.completed);
-            ("serve.errors", st.n.errors);
-            ("serve.certification_failed", st.n.cert_failed);
-            ("serve.shed", st.n.shed);
-            ("serve.rejected", st.n.rejected);
-            ("serve.quarantined", st.n.quarantined);
-            ("serve.invalid", st.n.invalid);
-            ("serve.delta_updates", st.n.delta_updates);
-            ("serve.delta_fresh", st.n.delta_fresh);
-            ("serve.conns_accepted", st.n.conns_accepted);
-            ("serve.client_gone", st.n.client_gone);
-            ("serve.req_oversize", st.n.req_oversize);
-            ("serve.req_timeout", st.n.req_timeout);
-            ("serve.prepare_memo_hits", st.n.memo_hits);
-            ("certify.sampled", st.n.cert_sampled);
-            ("certify.passed", st.n.cert_passed);
-            ("certify.failed", st.n.cert_failed);
-            ("certify.cache_hits_checked", st.n.cert_cache_checked);
-            ("incr.cone_size", st.n.incr_cone_size);
-            ("incr.procs_reused", st.n.incr_procs_reused);
-            ("incr.procs_resolved", st.n.incr_procs_resolved);
-          ]
-          @
-          match st.cache with
-          | None -> []
-          | Some c ->
-            let s = Cache.stats c in
+        match st.cache with
+        | None -> (live, [])
+        | Some c ->
+          let s = Cache.stats c in
+          ( ("serve.cache_disabled", Bool.to_int (st.cache_down_since <> None))
+            :: live,
             [
               ("serve.cache_hits", s.hits);
               ("serve.cache_misses", s.misses);
               ("serve.cache_corrupt", s.corrupt);
               ("serve.cache_stores", s.stores);
               ("serve.cache_evictions", s.evictions);
-              ("serve.cache_disk_errors", st.n.cache_disk_errors);
-            ]
-        in
-        (gauges, counters))
+            ] ))
   in
-  (* mirror the levels into any ambient profiling sink *)
-  List.iter (fun (k, v) -> Telemetry.set_gauge k v) gauges;
-  Telemetry.health_snapshot ~gauges ~counters
+  Health.snapshot ?out ~gauges ~counters:cache_counters st.n
 
 (* ---------------- job execution ---------------- *)
 
@@ -416,15 +397,14 @@ let resolve_target (req : Request.t) =
 let memo_find st key =
   if st.cfg.prepare_memo <= 0 then None
   else begin
-    Mutex.lock st.memo_mu;
-    let payload = Hashtbl.find_opt st.prep_memo key in
-    Mutex.unlock st.memo_mu;
-    match payload with
+    match
+      Mutex.protect st.memo_mu (fun () -> Hashtbl.find_opt st.prep_memo key)
+    with
     | None -> None
     | Some p -> (
       match Driver.artifacts_of_string p with
       | Some a ->
-        locked st (fun () -> st.n.memo_hits <- st.n.memo_hits + 1);
+        Health.bump st.n memo_hits;
         Some a
       | None -> None)
   end
@@ -432,14 +412,13 @@ let memo_find st key =
 let memo_store st key artifacts =
   if st.cfg.prepare_memo > 0 then begin
     let payload = Driver.artifacts_to_string artifacts in
-    Mutex.lock st.memo_mu;
-    if not (Hashtbl.mem st.prep_memo key) then begin
-      Hashtbl.replace st.prep_memo key payload;
-      Queue.add key st.memo_order;
-      if Queue.length st.memo_order > st.cfg.prepare_memo then
-        Hashtbl.remove st.prep_memo (Queue.pop st.memo_order)
-    end;
-    Mutex.unlock st.memo_mu
+    Mutex.protect st.memo_mu (fun () ->
+        if not (Hashtbl.mem st.prep_memo key) then begin
+          Hashtbl.replace st.prep_memo key payload;
+          Queue.add key st.memo_order;
+          if Queue.length st.memo_order > st.cfg.prepare_memo then
+            Hashtbl.remove st.prep_memo (Queue.pop st.memo_order)
+        end)
   end
 
 (* ---------------- cacheless degradation ---------------- *)
@@ -459,7 +438,7 @@ let cache_for st =
   | None -> None
   | Some c ->
     let down =
-      locked st (fun () ->
+      Mutex.protect st.mu (fun () ->
           match st.cache_down_since with
           | None -> false
           | Some t0 -> Unix.gettimeofday () -. t0 < cache_retry_after)
@@ -480,11 +459,11 @@ let disk_entry detail =
    latch, failure arms (or re-arms) it.  The accounting frame is logged
    once per armed window, not once per refused commit. *)
 let note_store st = function
-  | Ok () -> locked st (fun () -> st.cache_down_since <- None)
+  | Ok () -> Mutex.protect st.mu (fun () -> st.cache_down_since <- None)
   | Error detail ->
+    Health.bump st.n cache_disk_errors;
     let newly_down =
-      locked st (fun () ->
-          st.n.cache_disk_errors <- st.n.cache_disk_errors + 1;
+      Mutex.protect st.mu (fun () ->
           let newly_down = st.cache_down_since = None in
           st.cache_down_since <- Some (Unix.gettimeofday ());
           newly_down)
@@ -592,15 +571,10 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
     Cache.key ~source:(prefix ^ name)
 
   let session_get st sessions name =
-    Mutex.lock st.sess_mu;
-    let s = Hashtbl.find_opt sessions name in
-    Mutex.unlock st.sess_mu;
-    s
+    Mutex.protect st.sess_mu (fun () -> Hashtbl.find_opt sessions name)
 
   let session_put st sessions name sess =
-    Mutex.lock st.sess_mu;
-    Hashtbl.replace sessions name sess;
-    Mutex.unlock st.sess_mu
+    Mutex.protect st.sess_mu (fun () -> Hashtbl.replace sessions name sess)
 
   (* Persist one session as per-procedure entries plus a manifest, each a
      crash-safe cache entry.  Blobs are content-addressed by strict hash,
@@ -663,18 +637,17 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
     in
     session_put st sessions name sess;
     persist_session st name sess;
-    locked st (fun () ->
-        match stats with
-        | Some (s : Ipcp_incr.Incr.stats) ->
-          st.n.delta_updates <- st.n.delta_updates + 1;
-          st.n.incr_cone_size <- st.n.incr_cone_size + s.cone_size;
-          st.n.incr_procs_reused <- st.n.incr_procs_reused + s.procs_reused;
-          st.n.incr_procs_resolved <- st.n.incr_procs_resolved + s.procs_resolved
-        | None ->
-          let total = List.length prog.Ipcp_frontend.Prog.procs in
-          st.n.delta_fresh <- st.n.delta_fresh + 1;
-          st.n.incr_cone_size <- st.n.incr_cone_size + total;
-          st.n.incr_procs_resolved <- st.n.incr_procs_resolved + total);
+    (match stats with
+    | Some (s : Ipcp_incr.Incr.stats) ->
+      Health.bump st.n delta_updates;
+      Health.add st.n cone_size s.cone_size;
+      Health.add st.n procs_reused s.procs_reused;
+      Health.add st.n procs_resolved s.procs_resolved
+    | None ->
+      let total = List.length prog.Ipcp_frontend.Prog.procs in
+      Health.bump st.n delta_fresh;
+      Health.add st.n cone_size total;
+      Health.add st.n procs_resolved total);
     (I.result sess, restored)
 
   (* ---- the online certification policy for this analysis ---- *)
@@ -848,13 +821,15 @@ let certification_failed_response (req : Request.t) (e : Err.t) =
              quarantined"
     ~error:e Request.Certification_failed
 
-(* Book-keeping of one online verdict, under the state mutex. *)
+(* Book-keeping of one online verdict. *)
 let note_verdict n (v : verdict) =
-  if v.vd_sampled then n.cert_sampled <- n.cert_sampled + 1;
-  if v.vd_cache then n.cert_cache_checked <- n.cert_cache_checked + 1;
+  if v.vd_sampled then Health.bump n cert_sampled;
+  if v.vd_cache then Health.bump n cert_cache_checked;
   match v.vd_failure with
-  | None -> n.cert_passed <- n.cert_passed + 1
-  | Some _ -> n.cert_failed <- n.cert_failed + 1
+  | None -> Health.bump n cert_passed
+  | Some _ ->
+    Health.bump n cert_failed;
+    Health.bump n cert_withheld
 
 (* The worker-entry fault point.  Keyed on the request sequence number —
    not the worker slot or wall clock — so which requests crash is a pure
@@ -889,10 +864,6 @@ let execute st ~slot ~restarts job =
   | Some frag when frag <> "" && contains ~sub:frag key ->
     Unix.sleepf (float_of_int st.stall_ms /. 1000.)
   | _ -> ());
-  (* the seeded stall site: same gray failure, chaos-layer flavoured *)
-  (match Fault.stall (Printf.sprintf "serve.worker:%d" job.j_seq) with
-  | Some ms -> Unix.sleepf (float_of_int ms /. 1000.)
-  | None -> ());
   let decision =
     (* a probe admitted by the loop already holds the half-open slot;
        deciding again here would deny it against its own probe *)
@@ -900,8 +871,8 @@ let execute st ~slot ~restarts job =
   in
   match decision with
   | `Deny ->
-    locked st (fun () -> st.n.quarantined <- st.n.quarantined + 1);
-    respond st job.j_outlet (quarantined_response req);
+    Health.bump st.n quarantined;
+    Outlet.respond job.j_outlet (quarantined_response req);
     0
   | `Run _probe -> (
     match
@@ -913,29 +884,28 @@ let execute st ~slot ~restarts job =
          client gets the typed terminal frame, and the input is
          quarantined — serving it again would serve the same corruption *)
       Breaker.trip st.breaker key;
-      locked st (fun () -> note_verdict st.n v);
-      respond st job.j_outlet (certification_failed_response req e);
+      note_verdict st.n v;
+      Outlet.respond job.j_outlet (certification_failed_response req e);
       0
     | o ->
       Breaker.note st.breaker key ~crashed:false;
-      locked st (fun () ->
-          Option.iter (note_verdict st.n) o.ex_verdict;
-          st.n.completed <- st.n.completed + 1);
-      respond st job.j_outlet
+      Option.iter (note_verdict st.n) o.ex_verdict;
+      Health.bump st.n completed;
+      Outlet.respond job.j_outlet
         (Request.response ~id:req.rq_id ~code:o.ex_out.Jobs.code
            ~stdout:o.ex_out.Jobs.out ~stderr:o.ex_out.Jobs.err
            ?error:o.ex_typed Request.Ok_done);
       0
     | exception e ->
       Breaker.note st.breaker key ~crashed:true;
-      locked st (fun () -> st.n.errors <- st.n.errors + 1);
-      respond st job.j_outlet
+      Health.bump st.n errors;
+      Outlet.respond job.j_outlet
         (Request.response ~id:req.rq_id ~code:Jobs.exit_internal
            ~reason:(Printexc.to_string e)
            ~error:(Err.worker_crash (Printexc.to_string e))
            Request.Error_crash);
       let restart = restarts + 1 in
-      locked st (fun () -> st.n.restarts_total <- st.n.restarts_total + 1);
+      Health.bump st.n worker_restarts;
       let delay =
         backoff_ms ~base:st.cfg.backoff_base_ms ~cap:st.cfg.backoff_cap_ms
           ~seed:st.cfg.seed ~slot ~restart
@@ -946,7 +916,7 @@ let execute st ~slot ~restarts job =
 let worker st slot () =
   let rec loop restarts =
     let next =
-      locked st (fun () ->
+      Mutex.protect st.mu (fun () ->
           let rec wait () =
             match Bqueue.pop st.queue with
             | Some j -> Some j
@@ -969,34 +939,34 @@ let worker st slot () =
 
 let handle_line st ~outlet ~seq line =
   if String.trim line <> "" then begin
-    owe outlet;
-    locked st (fun () -> st.n.received <- st.n.received + 1);
+    Outlet.owe outlet;
+    Health.bump st.n requests;
     match Request.of_line line with
     | Error pe ->
-      locked st (fun () -> st.n.invalid <- st.n.invalid + 1);
-      respond st outlet (invalid_response pe)
+      Health.bump st.n invalid;
+      Outlet.respond outlet (invalid_response pe)
     | Ok req -> (
       match req.rq_op with
       | Request.Health ->
         (* answered inline: health must work under full queues *)
-        let doc = health_doc st in
-        respond st outlet
+        let doc = snapshot st in
+        Outlet.respond outlet
           (Request.response ~id:req.rq_id ~code:0 ~health:doc Request.Ok_done)
       | Request.Ping ->
         (* answered inline like health: a pong proves the process is
            alive and reading even when every worker is busy or stalled —
            exactly the liveness signal the router's heartbeats probe *)
-        respond st outlet
+        Outlet.respond outlet
           (Request.response ~id:req.rq_id ~code:0 Request.Ok_done)
       | _ -> (
         let key = Request.input_key req in
         match Breaker.decide st.breaker key with
         | `Deny ->
-          locked st (fun () -> st.n.quarantined <- st.n.quarantined + 1);
-          respond st outlet (quarantined_response req)
+          Health.bump st.n quarantined;
+          Outlet.respond outlet (quarantined_response req)
         | `Run probe -> (
           let admit =
-            locked st (fun () ->
+            Mutex.protect st.mu (fun () ->
                 let a =
                   Bqueue.push st.queue
                     { j_seq = seq; j_req = req; j_probe = probe;
@@ -1011,8 +981,8 @@ let handle_line st ~outlet ~seq line =
           match admit with
           | Bqueue.Enqueued -> ()
           | Bqueue.Rejected ->
-            locked st (fun () -> st.n.rejected <- st.n.rejected + 1);
-            respond st outlet
+            Health.bump st.n rejected;
+            Outlet.respond outlet
               (Request.response ~id:req.rq_id
                  ~reason:"queue full (reject-new)"
                  ~error:
@@ -1021,12 +991,12 @@ let handle_line st ~outlet ~seq line =
                        policy")
                  Request.Rejected)
           | Bqueue.Displaced old ->
-            locked st (fun () -> st.n.shed <- st.n.shed + 1);
+            Health.bump st.n shed;
             (* a shed probe never executes: release the half-open slot
                so the breaker can probe again later *)
             if old.j_probe then
               Breaker.release_probe st.breaker (Request.input_key old.j_req);
-            respond st old.j_outlet
+            Outlet.respond old.j_outlet
               (Request.response ~id:old.j_req.Request.rq_id
                  ~reason:"displaced from a full queue (drop-oldest)"
                  ~error:
@@ -1056,31 +1026,8 @@ let make_state config =
     sessions = Hashtbl.create 4;
     copy_sessions = Hashtbl.create 4;
     n =
-      {
-        received = 0;
-        completed = 0;
-        errors = 0;
-        cert_failed = 0;
-        shed = 0;
-        rejected = 0;
-        quarantined = 0;
-        invalid = 0;
-        restarts_total = 0;
-        cert_sampled = 0;
-        cert_cache_checked = 0;
-        cert_passed = 0;
-        delta_updates = 0;
-        delta_fresh = 0;
-        incr_cone_size = 0;
-        incr_procs_reused = 0;
-        incr_procs_resolved = 0;
-        conns_accepted = 0;
-        client_gone = 0;
-        req_oversize = 0;
-        req_timeout = 0;
-        memo_hits = 0;
-        cache_disk_errors = 0;
-      };
+      Health.table
+        (schema :: (if config.cache_dir = None then [] else [ cache_schema ]));
     memo_mu = Mutex.create ();
     prep_memo = Hashtbl.create 16;
     memo_order = Queue.create ();
@@ -1102,21 +1049,6 @@ let prewarm_registry () =
     (fun e -> ignore (Ipcp_suite.Registry.program e))
     Ipcp_suite.Registry.entries
 
-(* After the drain barrier the counters are final — a health snapshot
-   written here is deterministic for a deterministic request stream,
-   unlike in-stream health answers that race the workers. *)
-let write_health_out st =
-  match st.cfg.health_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Ipcp_telemetry.Json.to_string (health_doc st));
-        output_char oc '\n')
-
-
 (* ---------------- client streams ---------------- *)
 
 (* The terminal frame for a client stream that broke a framing defense:
@@ -1127,7 +1059,7 @@ let refusal st (ending : Transport.Loop.ending) =
   match ending with
   | Transport.Loop.Eof | Transport.Loop.Broken -> None
   | Transport.Loop.Oversize bytes ->
-    locked st (fun () -> st.n.req_oversize <- st.n.req_oversize + 1);
+    Health.bump st.n req_oversize;
     Some
       (Request.response ~id:""
          ~reason:
@@ -1141,7 +1073,7 @@ let refusal st (ending : Transport.Loop.ending) =
                  bytes limit))
          Request.Invalid)
   | Transport.Loop.Timeout ->
-    locked st (fun () -> st.n.req_timeout <- st.n.req_timeout + 1);
+    Health.bump st.n req_timeout;
     Some
       (Request.response ~id:""
          ~reason:
@@ -1164,11 +1096,10 @@ let add_client st loop ~seq ?out ?read_timeout_ms ?on_gone outlet fd =
   let on_line line =
     if Transport.Loop.stopping () then
       reject_drained line (fun r ->
-          owe outlet;
-          locked st (fun () ->
-              st.n.received <- st.n.received + 1;
-              st.n.rejected <- st.n.rejected + 1);
-          respond st outlet r)
+          Outlet.owe outlet;
+          Health.bump st.n requests;
+          Health.bump st.n rejected;
+          Outlet.respond outlet r)
     else begin
       handle_line st ~outlet ~seq:!seq line;
       incr seq
@@ -1178,18 +1109,20 @@ let add_client st loop ~seq ?out ?read_timeout_ms ?on_gone outlet fd =
     match refusal st ending with
     | None -> ()
     | Some r ->
-      owe outlet;
-      locked st (fun () ->
-          st.n.received <- st.n.received + 1;
-          st.n.invalid <- st.n.invalid + 1);
-      respond st outlet r
+      Outlet.owe outlet;
+      Health.bump st.n requests;
+      Health.bump st.n invalid;
+      Outlet.respond outlet r
   in
   Transport.Loop.add loop ~max_line:st.cfg.max_line ?out ?read_timeout_ms
     ?on_gone ~on_line ~on_end fd
 
 (* Both modes: the worker pool runs while [feed] drives the event loop;
    then the pool drains, buffered write tails get one bounded flush,
-   and the settled health snapshot is written. *)
+   and the settled health snapshot is written — after the drain barrier
+   the counters are final, so it is deterministic for a deterministic
+   request stream, unlike in-stream health answers that race the
+   workers. *)
 let serving config feed =
   let st = make_state { config with workers = max 1 config.workers } in
   prewarm_registry ();
@@ -1199,12 +1132,12 @@ let serving config feed =
   in
   let loop = Transport.Loop.create () in
   feed st loop;
-  locked st (fun () ->
+  Mutex.protect st.mu (fun () ->
       st.draining <- true;
       Condition.broadcast st.cond);
   Array.iter Domain.join workers;
   Transport.Loop.flush loop ~within:2.0;
-  write_health_out st
+  Option.iter (fun out -> ignore (snapshot ~out st)) st.cfg.health_out
 
 (* ---------------- run (stdio mode) ---------------- *)
 
@@ -1213,7 +1146,7 @@ let serving config feed =
    description with the shell and must not be switched to
    [O_NONBLOCK]. *)
 let run ?(config = default_config) ~input ~output () =
-  let out = outlet (`Channel output) in
+  let out = Outlet.channel output in
   serving config (fun st loop ->
       let c = add_client st loop ~seq:(ref 0) out input in
       Transport.Loop.run loop ~tick:ignore ~until:(fun () ->
@@ -1221,35 +1154,9 @@ let run ?(config = default_config) ~input ~output () =
       (* stop wins over unread input: lines already readable were
          submitted, so they get typed drain rejections, not silence *)
       Transport.Loop.finish loop c);
-  Mutex.lock out.ol_mu;
-  (if not out.ol_dead then
-     try flush output with Sys_error _ -> out.ol_dead <- true);
-  Mutex.unlock out.ol_mu;
-  if out.ol_dead then Jobs.exit_input else 0
+  Outlet.close out
 
 (* ---------------- run (socket listener mode) ---------------- *)
-
-(* The peer stopped reading and its buffered response tail outgrew the
-   cap, or the resumed write failed hard: charge the loss once. *)
-let outbuf_gone st o =
-  Mutex.lock o.ol_mu;
-  let fresh = not o.ol_dead in
-  o.ol_dead <- true;
-  Mutex.unlock o.ol_mu;
-  if fresh then begin
-    locked st (fun () -> st.n.client_gone <- st.n.client_gone + 1);
-    log_line
-      (Request.response_to_line
-         (Request.response ~id:""
-            ~reason:
-              "client connection gone with buffered response bytes \
-               undelivered"
-            ~error:
-              (Err.gone
-                 "buffered response tail undeliverable: peer closed or \
-                  stopped reading")
-            Request.Error_crash))
-  end
 
 (* The listening socket and every accepted connection are streams of
    the same loop, each connection with its own outlet.  The loop
@@ -1268,27 +1175,23 @@ let run_listen ?(config = default_config) ~addr () =
              a worker domain: the outbuf makes every response write
              nonblocking *)
           let ob = Transport.Outbuf.create fd in
-          let o = outlet (`Sock ob) in
-          locked st (fun () -> st.n.conns_accepted <- st.n.conns_accepted + 1);
+          let o = Outlet.make (`Sock (ob, st.n)) in
+          Health.bump st.n conns_accepted;
           let c =
             add_client st loop ~seq ~out:ob
               ~read_timeout_ms:st.cfg.read_timeout_ms
-              ~on_gone:(fun () -> outbuf_gone st o)
+              ~on_gone:(fun () -> Outlet.tail_gone o)
               o fd
           in
           clients := (c, o) :: !clients);
       (* close a connection only when the peer finished submitting (or
          died), every owed terminal response is answered, and its bytes
          have left the outbuf *)
-      let settled (c, o) =
-        Mutex.lock o.ol_mu;
-        let done_ =
-          ((not (Transport.Loop.reading c)) || o.ol_dead)
-          && o.ol_pending = 0
-          && not (Transport.Loop.pending c)
-        in
-        Mutex.unlock o.ol_mu;
-        done_
+      let settled (c, (o : Outlet.t)) =
+        Mutex.protect o.mu (fun () ->
+            ((not (Transport.Loop.reading c)) || o.dead)
+            && o.pending = 0
+            && not (Transport.Loop.pending c))
       in
       let sweep () =
         let closing, open_ = List.partition settled !clients in

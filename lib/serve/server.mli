@@ -111,6 +111,10 @@ val default_config : config
     determinism harnesses. *)
 val certify_sampled : seed:int -> rate:float -> seq:int -> bool
 
+(** [contains ~sub s]: whether [sub] occurs in [s] — the match the
+    test-only input hooks apply to input keys. *)
+val contains : sub:string -> string -> bool
+
 (** The per-response corruption site consulted after solving and before
     rendering (["serve.solution:<seq>"]): when {!Ipcp_support.Fault}
     arms it, the served solution really is corrupted, and only online
@@ -152,6 +156,25 @@ module Breaker : sig
 
   (** (inputs quarantined, entries) *)
   val counts : t -> int * int
+end
+
+(** The response ledger, shared by the stdio server, each socket
+    connection and the shard router's stdout.  [owe] records one
+    submitted request line, [respond] writes one terminal frame (flushed
+    at once) and settles one debt, so an owner that has answered
+    everything it admitted has [owing = 0].  The first failed write
+    latches the outlet dead: later frames are dropped but still settle
+    their debt.  [close] flushes a channel outlet and returns its
+    owner's exit code: 0, or {!Jobs.exit_input} once the stream died.
+    Thread-safe. *)
+module Outlet : sig
+  type t
+
+  val channel : out_channel -> t
+  val owe : t -> unit
+  val respond : t -> Request.response -> unit
+  val owing : t -> int
+  val close : t -> int
 end
 
 (** Restart delay of a supervised slot's [restart]-th consecutive crash:

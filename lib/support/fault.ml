@@ -21,8 +21,6 @@ type config = {
   starve_steps : int;  (** step allowance of a starved budget *)
   corrupt_rate : float;
       (** probability a {!corruption} site yields a corruption seed *)
-  stall_rate : float;  (** probability a {!stall} site sleeps *)
-  stall_ms : int;  (** sleep duration of a stalled site *)
   disk_rate : float;  (** probability a {!disk} site fails its commit *)
 }
 
@@ -30,7 +28,7 @@ let state : config option Atomic.t = Atomic.make None
 
 let configure ?(raise_rate = 0.0) ?(spin_rate = 0.0) ?(spin_iters = 10_000)
     ?(starve_rate = 0.0) ?(starve_steps = 0) ?(corrupt_rate = 0.0)
-    ?(stall_rate = 0.0) ?(stall_ms = 0) ?(disk_rate = 0.0) ~seed () =
+    ?(disk_rate = 0.0) ~seed () =
   Atomic.set state
     (Some
        {
@@ -41,8 +39,6 @@ let configure ?(raise_rate = 0.0) ?(spin_rate = 0.0) ?(spin_iters = 10_000)
          starve_rate;
          starve_steps;
          corrupt_rate;
-         stall_rate;
-         stall_ms;
          disk_rate;
        })
 
@@ -53,9 +49,9 @@ let active () = Atomic.get state <> None
 let config () = Atomic.get state
 
 let with_faults ?raise_rate ?spin_rate ?spin_iters ?starve_rate ?starve_steps
-    ?corrupt_rate ?stall_rate ?stall_ms ?disk_rate ~seed f =
+    ?corrupt_rate ?disk_rate ~seed f =
   configure ?raise_rate ?spin_rate ?spin_iters ?starve_rate ?starve_steps
-    ?corrupt_rate ?stall_rate ?stall_ms ?disk_rate ~seed ();
+    ?corrupt_rate ?disk_rate ~seed ();
   Fun.protect ~finally:clear f
 
 (* FNV-1a over the site string, mixed with the seed through the splitmix64
@@ -115,14 +111,6 @@ let corruption site =
            (Int64.logand
               (hash_site c.seed (site ^ ":corrupt-seed"))
               0x3FFFFFFFL))
-    else None
-
-let stall site =
-  match Atomic.get state with
-  | None -> None
-  | Some c ->
-    if c.stall_rate > 0.0 && roll c.seed (site ^ ":stall") < c.stall_rate then
-      Some c.stall_ms
     else None
 
 let disk site =

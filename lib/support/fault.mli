@@ -28,8 +28,6 @@ type config = {
   starve_steps : int;  (** step allowance of a starved budget *)
   corrupt_rate : float;
       (** probability a {!corruption} site yields a corruption seed *)
-  stall_rate : float;  (** probability a {!stall} site sleeps *)
-  stall_ms : int;  (** sleep duration of a stalled site *)
   disk_rate : float;  (** probability a {!disk} site fails its commit *)
 }
 
@@ -41,8 +39,6 @@ val configure :
   ?starve_rate:float ->
   ?starve_steps:int ->
   ?corrupt_rate:float ->
-  ?stall_rate:float ->
-  ?stall_ms:int ->
   ?disk_rate:float ->
   seed:int ->
   unit ->
@@ -63,8 +59,6 @@ val with_faults :
   ?starve_rate:float ->
   ?starve_steps:int ->
   ?corrupt_rate:float ->
-  ?stall_rate:float ->
-  ?stall_ms:int ->
   ?disk_rate:float ->
   seed:int ->
   (unit -> 'a) ->
@@ -85,12 +79,6 @@ val starvation : string -> int option
     when disabled or the draw does not fire.  Like every other site, the
     decision is a pure function of (seed, site). *)
 val corruption : string -> int option
-
-(** [stall site] is [Some ms] when the site's stall draw fires: the
-    caller should sleep [ms] milliseconds without raising — a gray
-    failure (slow, not dead) as opposed to {!inject}'s crash.  Pure in
-    (seed, site) like every other draw. *)
-val stall : string -> int option
 
 (** [disk site] is [Some fault] when the site's disk draw fires: the
     instrumented cache-commit path must fail in the returned shape

@@ -27,6 +27,7 @@ let () =
       ("golden", Test_golden.suite);
       ("incr", Test_incr.suite);
       ("serve", Test_serve.suite);
+      ("health", Test_health.suite);
       ("cli", Test_cli.suite);
       ("fuzz", Test_fuzz.suite);
       ("certify", Test_certify.suite);

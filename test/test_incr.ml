@@ -157,6 +157,30 @@ let test_diff_symmetry () =
   check Alcotest.(list string) "expected changed" [ "a"; "b" ]
     d12.changed_procs
 
+(* The merge walk behind the edge diff agrees with the quadratic
+   [List.mem] scan it replaced, on seeded random edge lists of the shape
+   the call graph produces: sorted, deduplicated (caller, callee) pairs,
+   overlapping, either side possibly empty. *)
+let test_sorted_diff_matches_mem_scan () =
+  let module Prng = Ipcp_support.Prng in
+  let pairs = Alcotest.(list (pair string string)) in
+  for seed = 1 to 200 do
+    let prng = Prng.create seed in
+    let procs = Prng.range prng 1 12 in
+    let edges () =
+      List.sort_uniq compare
+        (List.init (Prng.int prng 40) (fun _ ->
+             ( Printf.sprintf "p%d" (Prng.int prng procs),
+               Printf.sprintf "p%d" (Prng.int prng procs) )))
+    in
+    let a = edges () and b = edges () in
+    let reference x y = List.filter (fun e -> not (List.mem e y)) x in
+    check pairs (Printf.sprintf "seed %d: a - b" seed) (reference a b)
+      (Diff.sorted_diff a b);
+    check pairs (Printf.sprintf "seed %d: b - a" seed) (reference b a)
+      (Diff.sorted_diff b a)
+  done
+
 let test_metamorph_diffs_empty () =
   let prog = resolve base_src in
   List.iter
@@ -287,6 +311,8 @@ let suite =
       test_diff_reflexive_empty;
     Alcotest.test_case "diff is symmetric up to add/remove inversion" `Quick
       test_diff_symmetry;
+    Alcotest.test_case "edge diff merge matches the List.mem scan" `Quick
+      test_sorted_diff_matches_mem_scan;
     Alcotest.test_case "metamorphic transforms diff as empty" `Quick
       test_metamorph_diffs_empty;
     Alcotest.test_case "update is byte-identical to scratch (all kinds)"

@@ -1336,29 +1336,19 @@ let test_ping_request () =
   | Some r -> check Alcotest.bool "pong is ok" true (r.rs_status = Request.Ok_done)
   | None -> Alcotest.fail "no pong"
 
-(* The chaos layer's draws are pure in (seed, site): same seed same
-   answer, different sites decorrelated, zero rate never fires. *)
-let test_fault_stall_disk_deterministic () =
-  let stall_at seed site =
-    Fault.with_faults ~stall_rate:0.5 ~stall_ms:7 ~seed (fun () ->
-        Fault.stall site)
-  in
+(* The disk chaos draws are pure in (seed, site): same seed same
+   answer, and a disarmed layer never fires. *)
+let test_fault_disk_deterministic () =
   let disk_at seed site =
     Fault.with_faults ~disk_rate:0.5 ~seed (fun () -> Fault.disk site)
   in
   for seed = 1 to 20 do
     let site = Printf.sprintf "serve.worker:%d" seed in
-    check Alcotest.bool "stall draw is reproducible" true
-      (stall_at seed site = stall_at seed site);
     check Alcotest.bool "disk draw is reproducible" true
       (disk_at seed site = disk_at seed site)
   done;
-  check Alcotest.bool "armed stall yields the configured pause" true
-    (List.exists
-       (fun seed -> stall_at seed "serve.worker:0" = Some 7)
-       (List.init 50 (fun i -> i)));
   check Alcotest.bool "disarmed faults never fire" true
-    (Fault.stall "serve.worker:0" = None && Fault.disk "cache.commit:k" = None)
+    (Fault.disk "cache.commit:k" = None)
 
 (* Satellite: a disk fault mid-commit must surface as [Error], leave no
    entry and no temp litter, and a later healthy store must publish. *)
@@ -1673,8 +1663,7 @@ let suite =
     ("serve cache eviction under concurrent readers", `Quick,
      test_cache_eviction_under_concurrent_readers);
     ("serve ping request", `Quick, test_ping_request);
-    ("serve stall/disk chaos deterministic", `Quick,
-     test_fault_stall_disk_deterministic);
+    ("serve disk chaos deterministic", `Quick, test_fault_disk_deterministic);
     ("serve cache torn commit degrades", `Quick, test_cache_torn_commit);
     ("serve disk fault shapes covered", `Quick,
      test_disk_fault_shapes_covered);

@@ -179,6 +179,32 @@ let fuzz_configs =
     ("intraprocedural", Config.intraprocedural_only);
   ]
 
+(* The failure tally of one mode's run: [err] prints a failure under
+   the mode's prefix and counts it. *)
+type tally = {
+  failures : int ref;
+  err : 'a. ('a, Format.formatter, unit, unit) format4 -> 'a;
+}
+
+let tally mode =
+  let failures = ref 0 in
+  let err fmt =
+    Fmt.kstr (fun m -> incr failures; Fmt.epr "%s: %s@." mode m) fmt
+  in
+  { failures; err }
+
+(* A mode's exit code: 0 after [ok ()] on a clean run, 1 after [failed]
+   of the failure count otherwise. *)
+let finish failures ~ok ~failed =
+  if !failures = 0 then begin
+    ok ();
+    0
+  end
+  else begin
+    failed !failures;
+    1
+  end
+
 (* All oracle failures for [source], as messages; [] = clean. *)
 let failures_of ~iter_seed (source : string) : string list =
   match parse ~label:"fuzz" source with
@@ -367,12 +393,9 @@ let run_inject_bad () =
         iter_seed
     end
   done;
-  if !failures = 0 then begin
-    Fmt.pr "inject-bad: %d/%d corrupted solutions rejected@." !iterations
-      !iterations;
-    0
-  end
-  else 1
+  finish failures ~failed:ignore ~ok:(fun () ->
+      Fmt.pr "inject-bad: %d/%d corrupted solutions rejected@." !iterations
+        !iterations)
 
 let run_oracle () =
   let failures = ref 0 in
@@ -385,15 +408,13 @@ let run_oracle () =
       incr failures;
       report_failure iter iter_seed source msgs
   done;
-  if !failures = 0 then begin
-    Fmt.pr "fuzz: %d iterations, no failures (seed %d%s)@." !iterations !seed
-      (if !certify then ", certified" else "");
-    0
-  end
-  else begin
-    Fmt.epr "fuzz: %d of %d iterations failed@." !failures !iterations;
-    1
-  end
+  finish failures
+    ~ok:(fun () ->
+      Fmt.pr "fuzz: %d iterations, no failures (seed %d%s)@." !iterations
+        !seed
+        (if !certify then ", certified" else ""))
+    ~failed:(fun n ->
+      Fmt.epr "fuzz: %d of %d iterations failed@." n !iterations)
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers of the serve modes.                                  *)
@@ -521,8 +542,7 @@ let run_server_inproc ?(certify_sample = 0.0) ?health_out ?sample_seed ~workers
 
 let run_serve_diff () =
   let dir = fresh_dir "serve-diff" in
-  let failures = ref 0 in
-  let err fmt = Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-diff: %s@." m) fmt in
+  let { failures; err } = tally "serve-diff" in
   (* generated programs on disk, like real client inputs *)
   let gen_cases =
     List.init (max 1 !iterations) (fun i ->
@@ -599,17 +619,12 @@ let run_serve_diff () =
   then err "cold-cache run stored no artifact entries in %s" cache;
   check_run ~label:"workers4+warm-cache"
     (run_server_inproc ~workers:4 ~cache_dir:(Some cache) ~dir ~label:"w4c" lines);
-  if !failures = 0 then begin
-    Fmt.pr
-      "serve-diff: %d requests byte-identical to direct rendering across \
-       workers 1/4, cache off/cold/warm (seed %d)@."
-      (List.length cases) !seed;
-    0
-  end
-  else begin
-    Fmt.epr "serve-diff: %d divergences@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "serve-diff: %d divergences@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "serve-diff: %d requests byte-identical to direct rendering across \
+         workers 1/4, cache off/cold/warm (seed %d)@."
+        (List.length cases) !seed)
 
 (* ------------------------------------------------------------------ *)
 (* --serve-cert: online certification under armed corruption.          *)
@@ -629,10 +644,7 @@ let run_serve_diff () =
      [Server.certify_sampled] ∧ corruptibility. *)
 let run_serve_cert () =
   let dir = fresh_dir "serve-cert" in
-  let failures = ref 0 in
-  let err fmt =
-    Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-cert: %s@." m) fmt
-  in
+  let { failures; err } = tally "serve-cert" in
   (* distinct inputs (one request each, so quarantine never interferes):
      generated programs on disk plus two suite entries *)
   let gen_inputs =
@@ -798,18 +810,13 @@ let run_serve_cert () =
               label)
         [ 1; 2; 4 ])
     [ 1.0; 0.5 ];
-  if !failures = 0 then begin
-    Fmt.pr
-      "serve-cert: %d corrupted-at-source requests, workers 1/2/4, rates \
-       1.0/0.5 — no corrupted solution served as ok, conservation and \
-       status determinism hold (seed %d)@."
-      (List.length inputs) !seed;
-    0
-  end
-  else begin
-    Fmt.epr "serve-cert: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "serve-cert: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "serve-cert: %d corrupted-at-source requests, workers 1/2/4, rates \
+         1.0/0.5 — no corrupted solution served as ok, conservation and \
+         status determinism hold (seed %d)@."
+        (List.length inputs) !seed)
 
 (* ------------------------------------------------------------------ *)
 (* --serve-smoke: a real `ipcp serve` subprocess.                      *)
@@ -887,24 +894,36 @@ let analyze_req ~id ~path =
     (Json.Obj
        [ ("id", Json.Str id); ("op", Json.Str "analyze"); ("file", Json.Str path) ])
 
-let run_serve_smoke () =
+let op_line ~id op =
+  Json.to_string (Json.Obj [ ("id", Json.Str id); ("op", Json.Str op) ])
+
+let suite_line ~id name =
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Str id); ("op", Json.Str "analyze");
+         ("suite", Json.Str name) ])
+
+(* Every suite program written under [dir], as (name, path). *)
+let suite_files dir =
+  List.map
+    (fun (e : Ipcp_suite.Registry.entry) ->
+      let path = Filename.concat dir (e.name ^ ".mf") in
+      write_file path e.source;
+      (e.name, path))
+    Ipcp_suite.Registry.entries
+
+(* The subprocess modes drive a real binary: without one, a usage error. *)
+let need_ipcp mode =
   if !ipcp_bin = "" then begin
-    Fmt.epr "--serve-smoke needs --ipcp PATH@.";
+    Fmt.epr "--%s needs --ipcp PATH@." mode;
     exit 2
-  end;
+  end
+
+let run_serve_smoke () =
+  need_ipcp "serve-smoke";
   let dir = fresh_dir "serve-smoke" in
-  let failures = ref 0 in
-  let err fmt =
-    Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-smoke: %s@." m) fmt
-  in
-  let suite_files =
-    List.map
-      (fun (e : Ipcp_suite.Registry.entry) ->
-        let path = Filename.concat dir (e.name ^ ".mf") in
-        write_file path e.source;
-        (e.name, path))
-      Ipcp_suite.Registry.entries
-  in
+  let { failures; err } = tally "serve-smoke" in
+  let suite_files = suite_files dir in
   (* ---- gate 1: full suite, byte-for-byte against the direct CLI ----
      The cache is on and cold in a fresh multi-worker process, so the
      first requests race the cache setup (a lazy build fingerprint
@@ -915,7 +934,7 @@ let run_serve_smoke () =
          "--cache"; Filename.concat dir "suite-cache" |]
   in
   List.iter (fun (name, path) -> submit sp (analyze_req ~id:name ~path)) suite_files;
-  submit sp (Json.to_string (Json.Obj [ ("id", Json.Str "tables"); ("op", Json.Str "tables") ]));
+  submit sp (op_line ~id:"tables" "tables");
   let code, out = finish_server sp in
   if code <> 0 then err "suite run: server exited %d, expected 0" code;
   let responses = parse_responses out in
@@ -1093,16 +1112,11 @@ let run_serve_smoke () =
   then err "certified run: armed corruption produced no certification_failed";
   if statuses c1 <> statuses c2 || statuses c1 <> statuses c4 then
     err "certified run: statuses differ across workers 1/2/4";
-  if !failures = 0 then begin
-    Fmt.pr
-      "serve-smoke: suite diff, SIGTERM drain, cache corruption, fault \
-       containment and certified-serving gates all passed@.";
-    0
-  end
-  else begin
-    Fmt.epr "serve-smoke: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "serve-smoke: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "serve-smoke: suite diff, SIGTERM drain, cache corruption, fault \
+         containment and certified-serving gates all passed@.")
 
 (* ------------------------------------------------------------------ *)
 (* --serve-shard: a real `ipcp route` multi-process shard fleet.       *)
@@ -1152,31 +1166,12 @@ let counter_of doc name =
   | None -> None
 
 let run_serve_shard () =
-  if !ipcp_bin = "" then begin
-    Fmt.epr "--serve-shard needs --ipcp PATH@.";
-    exit 2
-  end;
+  need_ipcp "serve-shard";
   let dir = fresh_dir "serve-shard" in
-  let failures = ref 0 in
-  let err fmt =
-    Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-shard: %s@." m) fmt
-  in
-  let suite_files =
-    List.map
-      (fun (e : Ipcp_suite.Registry.entry) ->
-        let path = Filename.concat dir (e.name ^ ".mf") in
-        write_file path e.source;
-        (e.name, path))
-      Ipcp_suite.Registry.entries
-  in
+  let { failures; err } = tally "serve-shard" in
+  let suite_files = suite_files dir in
   let names = List.map fst suite_files in
   let kind_of i = List.nth diff_kinds (i mod List.length diff_kinds) in
-  let suite_line ~id name =
-    Json.to_string
-      (Json.Obj
-         [ ("id", Json.Str id); ("op", Json.Str "analyze");
-           ("suite", Json.Str name) ])
-  in
   (* ---- gate 1: routed stream byte-identical to a single server ----
      The same mixed request file (analyze under rotating jump functions,
      some certified, tables, one garbage line) through `ipcp serve` and
@@ -1210,9 +1205,7 @@ let run_serve_shard () =
              "--queue"; "256" |]
       in
       List.iter (submit sp) id_lines;
-      submit sp
-        (Json.to_string
-           (Json.Obj [ ("id", Json.Str "hprobe"); ("op", Json.Str "health") ]));
+      submit sp (op_line ~id:"hprobe" "health");
       let code, out = finish_server sp in
       if code <> 0 then err "identity (%d shards): router exited %d" shards code;
       let responses = parse_responses out in
@@ -1405,9 +1398,7 @@ let run_serve_shard () =
   | Error e -> err "reimport: d2: unparseable frame: %s" e);
   (match
      SReq.response_of_line
-       (rpc sp
-          (Json.to_string
-             (Json.Obj [ ("id", Json.Str "h"); ("op", Json.Str "health") ])))
+       (rpc sp (op_line ~id:"h" "health"))
    with
   | Ok { rs_health = Some doc; _ } -> (
     match counter_of doc "serve.delta_updates" with
@@ -1481,10 +1472,7 @@ let run_serve_shard () =
   expect_refusal ~label:"slow-loris partial" ~code:"E-REQ-TIMEOUT" fd;
   Unix.close fd;
   let fd = connect_retry 150 in
-  send_all fd
-    (Json.to_string
-       (Json.Obj [ ("id", Json.Str "gone"); ("op", Json.Str "tables") ])
-    ^ "\n");
+  send_all fd (op_line ~id:"gone" "tables" ^ "\n");
   (* hang up while tables is still computing: the write must fail
      EPIPE-quietly inside the server, never kill it *)
   Unix.close fd;
@@ -1529,25 +1517,15 @@ let run_serve_shard () =
   in
   if gone_entries = [] then
     err "defense: no E-LOAD-GONE accounting entry on the listener's stderr";
-  if !failures = 0 then begin
-    Fmt.pr
-      "serve-shard: identity, SIGKILL conservation, poison quarantine, \
-       session re-import and socket-defense gates all passed (shards \
-       1/2/4)@.";
-    0
-  end
-  else begin
-    Fmt.epr "serve-shard: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "serve-shard: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "serve-shard: identity, SIGKILL conservation, poison quarantine, \
+         session re-import and socket-defense gates all passed (shards \
+         1/2/4)@.")
 
 (* ------------------------------------------------------------------ *)
 (* --serve-gray: gray-failure tolerance of the shard router.           *)
-
-let contains_sub ~sub s =
-  let n = String.length s and k = String.length sub in
-  let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
-  k = 0 || scan 0
 
 (* Read exactly [n] frames from the router without closing stdin — the
    conservation probe for runs where late duplicates are still in
@@ -1582,27 +1560,12 @@ let read_frames_until fd ~deadline n =
   go ()
 
 let run_serve_gray () =
-  if !ipcp_bin = "" then begin
-    Fmt.epr "--serve-gray needs --ipcp PATH@.";
-    exit 2
-  end;
+  need_ipcp "serve-gray";
   let dir = fresh_dir "serve-gray" in
-  let failures = ref 0 in
-  let err fmt =
-    Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-gray: %s@." m) fmt
-  in
+  let { failures; err } = tally "serve-gray" in
   let health_base =
     if !health_out_path <> "" then !health_out_path
     else Filename.concat dir "gray-health"
-  in
-  let suite_line ~id name =
-    Json.to_string
-      (Json.Obj
-         [ ("id", Json.Str id); ("op", Json.Str "analyze");
-           ("suite", Json.Str name) ])
-  in
-  let health_line ~id =
-    Json.to_string (Json.Obj [ ("id", Json.Str id); ("op", Json.Str "health") ])
   in
   let names =
     List.filteri
@@ -1615,7 +1578,8 @@ let run_serve_gray () =
      must not occur inside any other suite name *)
   let victim =
     List.find
-      (fun n -> List.for_all (fun m -> m = n || not (contains_sub ~sub:n m)) names)
+      (fun n ->
+        List.for_all (fun m -> m = n || not (Server.contains ~sub:n m)) names)
       names
   in
   let lines = List.map (fun n -> suite_line ~id:("g-" ^ n) n) names in
@@ -1667,7 +1631,7 @@ let run_serve_gray () =
       check_identity ~label:(Printf.sprintf "stall-%d" shards) frames;
       (* give the slow copies time to answer and be dropped *)
       Unix.sleepf 2.5;
-      (match SReq.response_of_line (rpc sp (health_line ~id:"hg")) with
+      (match SReq.response_of_line (rpc sp (op_line ~id:"hg" "health")) with
       | Ok { rs_health = Some doc; _ } ->
         List.iter
           (fun c ->
@@ -1720,7 +1684,7 @@ let run_serve_gray () =
       | Error e -> err "eject: unparseable frame: %s" e)
     frames;
   Unix.sleepf 0.3;
-  (match SReq.response_of_line (rpc sp (health_line ~id:"he")) with
+  (match SReq.response_of_line (rpc sp (op_line ~id:"he" "health")) with
   | Ok { rs_health = Some doc; _ } ->
     (match counter_of doc "router.ejections" with
     | Some n when n >= 1 -> ()
@@ -1757,7 +1721,7 @@ let run_serve_gray () =
   List.iter (submit sp) lines;
   let frames = read_n_frames sp n_lines in
   check_identity ~label:"disk" frames;
-  (match SReq.response_of_line (rpc sp (health_line ~id:"hd")) with
+  (match SReq.response_of_line (rpc sp (op_line ~id:"hd" "health")) with
   | Ok { rs_health = Some doc; _ } ->
     (match gauge_of doc "serve.cache_disabled" with
     | Some n when n >= 1 -> ()
@@ -1846,10 +1810,7 @@ let run_serve_gray () =
       ~deadline:(Unix.gettimeofday () +. secs)
       n
   in
-  let ping_line ~id =
-    Json.to_string (Json.Obj [ ("id", Json.Str id); ("op", Json.Str "ping") ])
-  in
-  submit sp (ping_line ~id:"w0");
+  submit sp (op_line ~id:"w0" "ping");
   if List.length (recv_within 10.0 1) <> 1 then
     err "wedge: warm-up ping unanswered";
   let victim_pid =
@@ -1869,7 +1830,7 @@ let run_serve_gray () =
            ("pad", Json.Str (String.make (512 * 1024) 'x')) ])
   in
   submit sp big;
-  submit sp (ping_line ~id:"w-ping");
+  submit sp (op_line ~id:"w-ping" "ping");
   let frames = recv_within wedge_bound 2 in
   let statuses =
     List.sort compare
@@ -1893,7 +1854,7 @@ let run_serve_gray () =
     ignore (finish_server sp)
   end
   else begin
-    submit sp (health_line ~id:"hw");
+    submit sp (op_line ~id:"hw" "health");
     (match recv_within 10.0 1 with
     | [ f ] -> (
       match SReq.response_of_line f with
@@ -1906,17 +1867,12 @@ let run_serve_gray () =
     let code, _ = finish_server sp in
     if code <> 0 then err "wedge: router exited %d" code
   end;
-  if !failures = 0 then begin
-    Fmt.pr
-      "serve-gray: stall/hedge identity (shards 1/2/4), heartbeat \
-       ejection, cacheless disk degradation, EINTR-storm and \
-       stopped-shard gates all passed@.";
-    0
-  end
-  else begin
-    Fmt.epr "serve-gray: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "serve-gray: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "serve-gray: stall/hedge identity (shards 1/2/4), heartbeat \
+         ejection, cacheless disk degradation, EINTR-storm and \
+         stopped-shard gates all passed@.")
 
 (* ------------------------------------------------------------------ *)
 (* --subsume: copy propagation subsumes constant propagation.          *)
@@ -2001,19 +1957,14 @@ let run_subsume () =
     let iter_seed = !seed + (7919 * iter) in
     check ~label:(Printf.sprintf "gen%d" iter) (gen_source iter_seed)
   done;
-  if !failures = 0 then begin
-    Fmt.pr
-      "subsume: %d programs under %d configurations — the copy fixpoint \
-       projects onto const and substitutes at least as much (seed %d)@."
-      !checked
-      (List.length fuzz_configs)
-      !seed;
-    0
-  end
-  else begin
-    Fmt.epr "subsume: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "subsume: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "subsume: %d programs under %d configurations — the copy fixpoint \
+         projects onto const and substitutes at least as much (seed %d)@."
+        !checked
+        (List.length fuzz_configs)
+        !seed)
 
 (* ------------------------------------------------------------------ *)
 (* --delta: incremental re-analysis vs from-scratch.                   *)
@@ -2113,17 +2064,12 @@ let run_delta () =
         diff_kinds
     end
   done;
-  if !failures = 0 then begin
-    Fmt.pr
-      "delta: %d iterations, %d incremental results byte-identical to \
-       from-scratch and certified (seed %d)@."
-      !iterations !checks !seed;
-    0
-  end
-  else begin
-    Fmt.epr "delta: %d failures@." !failures;
-    1
-  end
+  finish failures ~failed:(Fmt.epr "delta: %d failures@.")
+    ~ok:(fun () ->
+      Fmt.pr
+        "delta: %d iterations, %d incremental results byte-identical to \
+         from-scratch and certified (seed %d)@."
+        !iterations !checks !seed)
 
 let () =
   Arg.parse speclist
