@@ -246,17 +246,12 @@ let tables_regen_comparison () =
         cnt ~return_jfs:false ~interprocedural:false Jump_function.Passthrough)
       Registry.entries
   in
-  (* staged: one prepare per program, shared by the Table 2 and Table 3
-     rows (and, inside, one stage-1/2 build per (use_mod × return_jfs)
-     variant instead of one per configuration) *)
-  let staged ~jobs () =
-    Ipcp_engine.Engine.iter ~jobs
-      (fun (e : Registry.entry) ->
-        let artifacts = Driver.prepare (Registry.program e) in
-        ignore (Tables.table2_row ~artifacts e);
-        ignore (Tables.table3_row ~artifacts e))
-      Registry.entries
-  in
+  (* staged: one prepare per program and one solve per distinct
+     configuration, shared by the Table 2 and Table 3 cells (and, inside,
+     one stage-1/2 build per (use_mod × return_jfs) variant instead of
+     one per configuration) *)
+  let module T = Tables.Make (Ipcp_analysis.Const_analysis) in
+  let staged ~jobs () = ignore (T.programs ~jobs ~check:ignore ()) in
   let jobs_n = max 4 (Ipcp_engine.Engine.default_jobs ()) in
   let variants =
     [
@@ -428,7 +423,7 @@ let () =
      also carries the analysis-internal counters of a full suite run *)
   Telemetry.with_reporter collector (fun () ->
       Telemetry.span "bench:tables" (fun () ->
-          Fmt.pr "%a@." (fun ppf () -> Tables.pp_all ~jobs:1 ppf ()) ());
+          print_string (Ipcp_serve.Jobs.tables ~jobs:1 ()).out);
       Telemetry.span "bench:jf_statistics" jf_statistics;
       Telemetry.span "bench:cloning_ablation" cloning_ablation);
   tables_regen_comparison ();

@@ -62,6 +62,20 @@ if ! cmp -s "$tmpdir/jobs1.out" "$tmpdir/jobs2.out"; then
   diff "$tmpdir/jobs1.out" "$tmpdir/jobs2.out" >&2 || true
   exit 1
 fi
+# So are the tables with certification, under both analyses: each
+# program's certified result comes from the same per-program task.
+for analysis in const copy; do
+  for j in 1 2; do
+    dune exec --no-build -- ipcp tables --analysis $analysis --certify \
+      --jobs $j > "$tmpdir/cert.$analysis.jobs$j.out"
+  done
+  if ! cmp -s "$tmpdir/cert.$analysis.jobs1.out" "$tmpdir/cert.$analysis.jobs2.out"; then
+    echo "determinism: tables --analysis $analysis --certify differs between" \
+      "--jobs 1 and --jobs 2" >&2
+    diff "$tmpdir/cert.$analysis.jobs1.out" "$tmpdir/cert.$analysis.jobs2.out" >&2 || true
+    exit 1
+  fi
+done
 # The constant-propagation output is pinned to a golden file: the
 # analysis functorization must never change a byte of the default
 # tables.  Regenerate the golden deliberately if the tables change.
@@ -151,6 +165,42 @@ if ! cmp -s "$tmpdir/chain.expected" "$tmpdir/chain.constants"; then
 fi
 if ! cmp -s "$tmpdir/chain.jobs1.out" "$tmpdir/chain.jobs2.out"; then
   echo "linear: chain output differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+fi
+
+echo "== one solve per configuration"
+# `tables` prepares each suite program once (plus once per DCE round
+# that changed code: 12 + 3) and solves each distinct configuration
+# once: 8 per program plus the 3 DCE re-solves, and under copy one
+# constant-propagation solve per program for Table 4.  Solves are the
+# `solve` spans summed over the whole span tree.
+solves() {
+  awk '/"name": "solve"/ { s = 1 }
+       s && /"calls":/ { sub(/.*"calls": */, ""); sub(/[^0-9].*/, ""); n += $0; s = 0 }
+       END { print n + 0 }' "$1"
+}
+for spec in const:99 copy:111; do
+  analysis=${spec%%:*}
+  want=${spec#*:}
+  dune exec --no-build -- ipcp tables --analysis $analysis --certify --jobs 1 \
+    --profile-json "$tmpdir/tables.$analysis.json" > /dev/null
+  w=$(counter driver.program_walks "$tmpdir/tables.$analysis.json")
+  n=$(solves "$tmpdir/tables.$analysis.json")
+  echo "-- $analysis: $w program walks, $n solves"
+  if [ "$w" != 15 ] || [ "$n" != "$want" ]; then
+    echo "solve once: tables --analysis $analysis --certify made $w program" \
+      "walks and $n solves, expected 15 and $want" >&2
+    exit 1
+  fi
+done
+# The certifier runs one SCCP per procedure (134 on the suite): the
+# substituted program it executes is built from the SCCP results it
+# already checked.
+dune exec --no-build -- ipcp certify --suite --profile-json "$tmpdir/certify.json" > /dev/null
+runs=$(counter sccp.runs "$tmpdir/certify.json")
+echo "-- certify --suite: $runs SCCP runs"
+if [ "$runs" != 134 ]; then
+  echo "solve once: certify --suite ran SCCP $runs times, expected 134" >&2
   exit 1
 fi
 

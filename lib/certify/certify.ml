@@ -80,7 +80,6 @@ let default_configs : (string * Config.t) list =
 module Make (A : Analysis_sig.S) = struct
   module S = Solver.Make (A)
   module D = Driver.Make (A)
-  module Sub = Substitute.Make (A)
 
   type nonrec t = A.L.t Driver.analysis_result
 
@@ -463,7 +462,16 @@ module Make (A : Analysis_sig.S) = struct
         res.Interp.entries;
       (* the substituted program must behave identically *)
       obligation ();
-      let prog', _ = Sub.apply t in
+      let prog' =
+        {
+          prog with
+          Prog.procs =
+            List.map2
+              (fun (p : Prog.proc) (_, sccp) ->
+                fst (Substitute.apply_proc t p sccp))
+              prog.procs sccps;
+        }
+      in
       let res' = Interp.run ~fuel ~input ~trace_entries:false prog' in
       (match res'.Interp.outcome with
       | Interp.Finished ->

@@ -1,17 +1,3 @@
-(** "Complete propagation" (paper Table 3, column 3).
-
-    Iterate interprocedural constant propagation and dead-code elimination:
-    run the polynomial analysis, fold the branches SCCP proved constant and
-    sweep dead code; if anything was removed, reset all CONSTANTS sets to ⊤
-    and re-run the propagation on the smaller program.  The paper observed
-    that a single round of dead-code elimination always sufficed; the test
-    suite checks the same on ours.
-
-    Re-analysis rounds reuse the staged artifacts ({!Driver.prepare}) of
-    the previous round for every procedure DCE left untouched (and whose
-    transitive callees are untouched too) — only the procedures that
-    actually shrank get their CFG/SSA/symbolic IR rebuilt. *)
-
 open Ipcp_frontend
 
 type 'elt generic_outcome = {
@@ -29,61 +15,78 @@ type outcome = Ipcp_analysis.Const_lattice.t generic_outcome
 
 module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
   module D = Driver.Make (A)
-  module Sub = Substitute.Make (A)
 
-  let run ?budget ?(config = Config.polynomial_with_mod) ?(max_rounds = 10)
-      (prog : Prog.t) : A.L.t generic_outcome =
-      let module Telemetry = Ipcp_telemetry.Telemetry in
-      let budget =
-        match budget with
-        | Some b -> b
-        | None -> Config.budget ~label:"complete" config
+  let iterate ?budget ?(max_rounds = 10) artifacts
+      (first : A.L.t Driver.analysis_result) : A.L.t generic_outcome =
+    let module Telemetry = Ipcp_telemetry.Telemetry in
+    let config = first.Driver.config in
+    let budget =
+      match budget with
+      | Some b -> b
+      | None -> Config.budget ~label:"complete" config
+    in
+    let rec loop artifacts (t : A.L.t Driver.analysis_result) rounds =
+      Telemetry.incr "complete.rounds";
+      (* fold constant branches per procedure using the seeded SCCP; the
+         same SCCP results justify the final substitution *)
+      let swept =
+        Telemetry.span "complete:round" (fun () ->
+            List.map
+              (fun (proc : Prog.proc) ->
+                let sccp = D.sccp_for t proc.pname in
+                let proc', changed =
+                  Ipcp_analysis.Dce.run ~cond_consts:sccp.cond_consts proc
+                in
+                (proc, sccp, proc', changed))
+              t.Driver.prog.Prog.procs)
       in
-      let rec loop artifacts prog rounds =
-        Telemetry.incr "complete.rounds";
-        let t, changed_procs, procs =
-          Telemetry.span "complete:round" (fun () ->
-              let t = D.solve config artifacts in
-              (* fold constant branches per procedure using the seeded SCCP *)
-              let changed = ref [] in
-              let procs =
-                List.map
-                  (fun (proc : Prog.proc) ->
-                    let sccp = D.sccp_for t proc.pname in
-                    let proc', ch =
-                      Ipcp_analysis.Dce.run ~cond_consts:sccp.cond_consts proc
-                    in
-                    if ch then changed := proc.pname :: !changed;
-                    proc')
-                  prog.Prog.procs
-              in
-              (t, !changed, procs))
+      let changed =
+        List.filter_map
+          (fun ((p : Prog.proc), _, _, ch) -> if ch then Some p.pname else None)
+          swept
+      in
+      if
+        changed <> [] && rounds < max_rounds
+        && Ipcp_support.Budget.tick budget
+      then begin
+        let procs = List.map (fun (_, _, p, _) -> p) swept in
+        let prog' = { t.Driver.prog with Prog.procs } in
+        let unchanged name = not (List.mem name changed) in
+        let artifacts' =
+          Driver.prepare_reusing ~prev:artifacts ~unchanged prog'
         in
-        if
-          changed_procs <> [] && rounds < max_rounds
-          && Ipcp_support.Budget.tick budget
-        then begin
-          let prog' = { prog with Prog.procs } in
-          let unchanged name = not (List.mem name changed_procs) in
-          loop
-            (Driver.prepare_reusing ~prev:artifacts ~unchanged prog')
-            prog' (rounds + 1)
-        end
-        else begin
-          let _, stats = Sub.apply t in
-          Telemetry.add "complete.dce_rounds" rounds;
-          let degraded =
-            Driver.degraded t
-            @
-            match Ipcp_support.Budget.exhausted budget with
-            | None -> []
-            | Some reason -> [ reason ]
-          in
-          Telemetry.add "complete.degraded" (List.length degraded);
-          { final = t; substituted = stats.total; dce_rounds = rounds; degraded }
-        end
-      in
-      loop (Driver.prepare prog) prog 0
+        loop artifacts' (D.solve config artifacts') (rounds + 1)
+      end
+      else begin
+        let substituted =
+          List.fold_left
+            (fun acc (proc, sccp, _, _) ->
+              acc + snd (Substitute.apply_proc t proc sccp))
+            0 swept
+        in
+        Telemetry.add "complete.dce_rounds" rounds;
+        let degraded =
+          Driver.degraded t
+          @
+          match Ipcp_support.Budget.exhausted budget with
+          | None -> []
+          | Some reason -> [ reason ]
+        in
+        Telemetry.add "complete.degraded" (List.length degraded);
+        { final = t; substituted; dce_rounds = rounds; degraded }
+      end
+    in
+    loop artifacts first 0
+
+  let run ?budget ?(config = Config.polynomial_with_mod) ?max_rounds
+      (prog : Prog.t) : A.L.t generic_outcome =
+    let budget =
+      match budget with
+      | Some b -> b
+      | None -> Config.budget ~label:"complete" config
+    in
+    let artifacts = Driver.prepare prog in
+    iterate ~budget ?max_rounds artifacts (D.solve config artifacts)
 end
 
 include Make (Ipcp_analysis.Const_analysis)

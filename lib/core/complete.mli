@@ -22,9 +22,22 @@ type outcome = Ipcp_analysis.Const_lattice.t generic_outcome
 
 (** Complete propagation for one analysis. *)
 module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
-  (** [budget] (default: built from [config]) bounds the number of
-      re-analysis rounds; on exhaustion the current round's (sound)
-      result is kept and the outcome is marked degraded. *)
+  (** [iterate artifacts first] continues from a prepared program and its
+      already-solved first round ([first] must be solved over
+      [artifacts]): sweep, re-prepare and re-solve until no more code
+      dies.  The final count substitutes from the last round's SCCP, so
+      no SCCP runs twice.  [budget] (default: built from [first]'s
+      configuration) bounds the number of re-analysis rounds; on
+      exhaustion the current round's (sound) result is kept and the
+      outcome is marked degraded. *)
+  val iterate :
+    ?budget:Ipcp_support.Budget.t ->
+    ?max_rounds:int ->
+    Driver.artifacts ->
+    A.L.t Driver.analysis_result ->
+    A.L.t generic_outcome
+
+  (** [run ~config prog]: prepare, solve the first round, {!iterate}. *)
   val run :
     ?budget:Ipcp_support.Budget.t ->
     ?config:Config.t ->

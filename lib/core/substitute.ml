@@ -134,11 +134,6 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
   let count (config : Config.t) (prog : Prog.t) : int =
     let t = D.analyze config prog in
     (snd (apply t)).total
-
-  (** [count_staged artifacts config]: solve over shared artifacts, then
-      substitute — one cell of Tables 2/3 without re-running stages 1–2. *)
-  let count_staged (artifacts : Driver.artifacts) (config : Config.t) : int =
-    (snd (apply (D.solve config artifacts))).total
 end
 
 include Make (Ipcp_analysis.Const_analysis)

@@ -34,17 +34,11 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   val apply : ?jobs:int -> A.L.t Driver.analysis_result -> Prog.t * stats
 
   (** [count config prog]: analyze then substitute, returning the count —
-      one cell of Tables 2/3. *)
+      a fresh-prepare reference for one cell of Tables 2/3. *)
   val count : Config.t -> Prog.t -> int
-
-  (** [count_staged artifacts config]: like {!count} but solving over
-      shared {!Driver.prepare} artifacts, skipping the config-independent
-      stages. *)
-  val count_staged : Driver.artifacts -> Config.t -> int
 end
 
 (** {1 The constant-propagation instantiation} *)
 
 val apply : ?jobs:int -> Driver.t -> Prog.t * stats
 val count : Config.t -> Prog.t -> int
-val count_staged : Driver.artifacts -> Config.t -> int

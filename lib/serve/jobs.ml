@@ -84,13 +84,14 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
   module Sub = Substitute.Make (A)
   module Comp = Complete.Make (A)
   module C = Ipcp_certify.Certify.Make (A)
+  module T = Ipcp_suite.Tables.Make (A)
 
   let certification ?fuel ?input ~label t =
     render (fun out err ->
         pp_certification out err label (C.check ?fuel ?input t))
 
   let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
-      ?substitute_out ?artifacts ?solved ~config ~jobs prog =
+      ?substitute_out ?solved ~config ~jobs prog =
     render @@ fun ppf err ->
     let t, degraded =
       match solved with
@@ -104,11 +105,7 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
           let o = Comp.run ~config prog in
           (o.Complete.final, o.Complete.degraded)
         else
-          let t =
-            match artifacts with
-            | Some a -> D.solve config a
-            | None -> D.analyze config prog
-          in
+          let t = D.analyze config prog in
           (t, Driver.degraded t)
     in
     if verbose then begin
@@ -138,6 +135,23 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
     if certify then
       pp_certification ppf err (Config.to_string config) (C.check t)
     else 0
+
+  (* The [tables] job: certification checks each program's
+     [Config.default] result as the tables solved it; the verdicts print
+     after the tables, in program order. *)
+  let tables ~certify ?max_steps ?deadline_ms ~jobs () =
+    render @@ fun ppf err ->
+    let check t = if certify then Some (C.check t) else None in
+    let programs = T.programs ~jobs ?max_steps ?deadline_ms ~check () in
+    Fmt.pf ppf "%a@." Ipcp_suite.Tables.pp programs;
+    List.fold_left
+      (fun acc (p : _ Ipcp_suite.Tables.program) ->
+        match p.checked with
+        | None -> acc
+        | Some r ->
+          let c = pp_certification ppf err p.t2.t2_name r in
+          if c <> 0 then c else acc)
+      0 programs
 end
 
 include Of (Ipcp_analysis.Const_analysis)
@@ -147,32 +161,6 @@ module Copy = Of (Ipcp_analysis.Copy_analysis)
 
 let tables ?(analysis = `Const) ?(certify = false) ?max_steps ?deadline_ms
     ~jobs () =
-  render @@ fun ppf err ->
-  Fmt.pf ppf "%a@."
-    (fun ppf () ->
-      Ipcp_suite.Tables.pp_all ~analysis ~jobs ?max_steps ?deadline_ms ppf ())
-    ();
-  if certify then begin
-    let config =
-      Config.with_analysis analysis
-        (Config.with_budget ?max_steps ?deadline_ms Config.default)
-    in
-    let code =
-      List.fold_left
-        (fun acc (e : Ipcp_suite.Registry.entry) ->
-          let prog = Ipcp_suite.Registry.program e in
-          let c =
-            match analysis with
-            | `Const ->
-              pp_certification ppf err e.name
-                (Ipcp_certify.Certify.check (Driver.analyze config prog))
-            | `Copy ->
-              pp_certification ppf err e.name
-                (Copy.C.check (Copy.D.analyze config prog))
-          in
-          if c <> 0 then c else acc)
-        0 Ipcp_suite.Registry.entries
-    in
-    code
-  end
-  else 0
+  match analysis with
+  | `Const -> tables ~certify ?max_steps ?deadline_ms ~jobs ()
+  | `Copy -> Copy.tables ~certify ?max_steps ?deadline_ms ~jobs ()

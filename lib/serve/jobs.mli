@@ -32,13 +32,12 @@ val load : string -> (string * Prog.t, outcome) result
 (** The job bodies for one analysis; the toplevel values are
     [Of (Const_analysis)], and {!Copy} serves [--analysis copy]. *)
 module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
-  (** The [analyze] job.  [?artifacts] supplies prepared (possibly
-      cache-roundtripped) staged artifacts — solving over them is
-      byte-identical to the fresh [Driver.analyze] path.  [?solved]
-      supplies an already-solved result (the incremental re-analysis
-      path); it takes precedence over [?artifacts]/[?complete] and
-      renders through the same pipeline, so the output stays
-      byte-identical to a from-scratch analyze of the same source.
+  (** The [analyze] job.  [?solved] supplies an already-solved result
+      (the incremental re-analysis path, or a solve over prepared,
+      possibly cache-roundtripped artifacts); it takes precedence over
+      [?complete] and renders through the same pipeline, so the output
+      stays byte-identical to a from-scratch analyze of the same
+      source.
       [?substitute_out] also writes the constant-substituted source to a
       file (CLI only; raises [Sys_error] like any file write). *)
   val analyze :
@@ -46,7 +45,6 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
     ?complete:bool ->
     ?certify:bool ->
     ?substitute_out:string ->
-    ?artifacts:Driver.artifacts ->
     ?solved:A.L.t Driver.analysis_result ->
     config:Config.t ->
     jobs:int ->
@@ -71,7 +69,6 @@ module Copy : sig
     ?complete:bool ->
     ?certify:bool ->
     ?substitute_out:string ->
-    ?artifacts:Driver.artifacts ->
     ?solved:Ipcp_analysis.Copy_analysis.L.t Driver.analysis_result ->
     config:Config.t ->
     jobs:int ->
@@ -88,7 +85,8 @@ end
 
 (** The [tables] job: Tables 1–3 over the bundled suite (plus the
     subsumption Table 4 under [`Copy]), optionally certifying every
-    entry afterwards. *)
+    entry afterwards — each program's {!Config.default} result, as the
+    tables solved it. *)
 val tables :
   ?analysis:Config.analysis ->
   ?certify:bool ->
@@ -105,7 +103,6 @@ val analyze :
   ?complete:bool ->
   ?certify:bool ->
   ?substitute_out:string ->
-  ?artifacts:Driver.artifacts ->
   ?solved:Driver.t ->
   config:Config.t ->
   jobs:int ->

@@ -9,10 +9,6 @@
 
 open Ipcp_core
 module Prog = Ipcp_frontend.Prog
-module Copy_lattice = Ipcp_analysis.Copy_lattice
-module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
-module Copy_substitute = Substitute.Make (Ipcp_analysis.Copy_analysis)
-module Copy_complete = Complete.Make (Ipcp_analysis.Copy_analysis)
 
 type table2_row = {
   t2_name : string;
@@ -32,81 +28,6 @@ type table3_row = {
   intra_only : int;
 }
 
-(* One row = one task: all configurations of a program solve over the same
-   staged artifacts (stages 1–2 are shared per (use_mod × return_jfs)
-   variant), so a six-column Table 2 row builds the per-procedure IR twice,
-   not six times. *)
-let count_staged analysis artifacts config =
-  match analysis with
-  | `Const -> Substitute.count_staged artifacts config
-  | `Copy -> Copy_substitute.count_staged artifacts config
-
-let table2_row ?(analysis = `Const) ?max_steps ?deadline_ms ?artifacts
-    (e : Registry.entry) : table2_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
-  let with_kind ?return_jfs kind =
-    count_staged analysis artifacts
-      (Config.make ~analysis ~kind ?return_jfs ?max_steps ?deadline_ms ())
-  in
-  {
-    t2_name = e.name;
-    ret_poly = with_kind Jump_function.Polynomial;
-    ret_pass = with_kind Jump_function.Passthrough;
-    ret_intra = with_kind Jump_function.Intraconst;
-    ret_lit = with_kind Jump_function.Literal;
-    noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
-    noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
-  }
-
-let table3_row ?(analysis = `Const) ?max_steps ?deadline_ms ?artifacts
-    (e : Registry.entry) : table3_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
-  let budgeted c =
-    Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
-  in
-  let substituted =
-    match analysis with
-    | `Const ->
-      (Complete.run ~config:(budgeted Config.polynomial_with_mod) prog)
-        .substituted
-    | `Copy ->
-      (Copy_complete.run ~config:(budgeted Config.polynomial_with_mod) prog)
-        .substituted
-  in
-  {
-    t3_name = e.name;
-    poly_no_mod =
-      count_staged analysis artifacts (budgeted Config.polynomial_no_mod);
-    poly_mod =
-      count_staged analysis artifacts (budgeted Config.polynomial_with_mod);
-    complete = substituted;
-    intra_only =
-      count_staged analysis artifacts (budgeted Config.intraprocedural_only);
-  }
-
-(* Parse-and-resolve every suite program in the calling domain before any
-   fan-out: Registry.program memoizes into a shared table, and pre-warming
-   turns the workers' accesses into pure reads. *)
-let prewarm () = List.iter (fun e -> ignore (Registry.program e)) Registry.entries
-
-let table2 ?analysis ?(jobs = 1) ?max_steps ?deadline_ms () =
-  prewarm ();
-  Ipcp_engine.Engine.map ~jobs
-    (fun e -> table2_row ?analysis ?max_steps ?deadline_ms e)
-    Registry.entries
-
-let table3 ?analysis ?(jobs = 1) ?max_steps ?deadline_ms () =
-  prewarm ();
-  Ipcp_engine.Engine.map ~jobs
-    (fun e -> table3_row ?analysis ?max_steps ?deadline_ms e)
-    Registry.entries
-
 (* The subsumption table (after Sreekala & Paleri, "Copy Propagation
    subsumes Constant Propagation"): under the polynomial+MOD
    configuration, the copy-propagation fixpoint projects exactly onto
@@ -122,39 +43,116 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-let table4_row ?max_steps ?deadline_ms ?artifacts (e : Registry.entry) :
-    table4_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
-  let budgeted c = Config.with_budget ?max_steps ?deadline_ms c in
-  let const_t = Driver.solve (budgeted Config.polynomial_with_mod) artifacts in
-  let copy_t =
-    Copy_driver.solve
-      (Config.with_analysis `Copy (budgeted Config.polynomial_with_mod))
-      artifacts
-  in
-  let copies =
-    Hashtbl.fold
-      (fun _ m acc ->
-        Prog.Param_map.fold
-          (fun _ v acc -> if Copy_lattice.is_copy v then acc + 1 else acc)
-          m acc)
-      copy_t.Driver.solution.Solver.vals 0
-  in
-  {
-    t4_name = e.name;
-    t4_const = Driver.constants_count const_t;
-    t4_copy_const = Copy_driver.constants_count copy_t;
-    t4_copies = copies;
-  }
+type 'r program = {
+  t2 : table2_row;
+  t3 : table3_row;
+  t4 : table4_row option;
+  checked : 'r;
+}
 
-let table4 ?(jobs = 1) ?max_steps ?deadline_ms () =
-  prewarm ();
-  Ipcp_engine.Engine.map ~jobs
-    (fun e -> table4_row ?max_steps ?deadline_ms e)
-    Registry.entries
+module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
+  module D = Driver.Make (A)
+  module Sub = Substitute.Make (A)
+  module Comp = Complete.Make (A)
+
+  let analysis =
+    match Config.analysis_of_string A.name with
+    | Some a -> a
+    | None -> invalid_arg ("Tables.Make: no configuration axis for " ^ A.name)
+
+  (* A pure copy fact: a middle-level fact with no constant reading. *)
+  let is_copy v =
+    A.L.const_value v = None
+    && not (A.L.equal v A.L.top || A.L.equal v A.L.bottom)
+
+  (* One program = one task: one prepare, and one solve + substitution
+     per distinct configuration, memoized for every column that reads
+     it (Table 2's polynomial column is Table 3's with-MOD column, the
+     first round of complete propagation and Table 4's copy column; its
+     pass-through column is the result certification checks). *)
+  let rows ?max_steps ?deadline_ms (e : Registry.entry) =
+    let artifacts = Driver.prepare (Registry.program e) in
+    let memo = ref [] in
+    let solved c =
+      let config =
+        Config.with_analysis analysis
+          (Config.with_budget ?max_steps ?deadline_ms c)
+      in
+      match List.find_opt (fun (c', _) -> Config.equal c' config) !memo with
+      | Some (_, r) -> r
+      | None ->
+        let t = D.solve config artifacts in
+        let r = (t, (snd (Sub.apply t)).Substitute.total) in
+        memo := (config, r) :: !memo;
+        r
+    in
+    let count c = snd (solved c) in
+    let with_kind ?return_jfs kind = count (Config.make ~kind ?return_jfs ()) in
+    let t2 =
+      {
+        t2_name = e.name;
+        ret_poly = with_kind Jump_function.Polynomial;
+        ret_pass = with_kind Jump_function.Passthrough;
+        ret_intra = with_kind Jump_function.Intraconst;
+        ret_lit = with_kind Jump_function.Literal;
+        noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
+        noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
+      }
+    in
+    let poly_mod, poly_mod_count = solved Config.polynomial_with_mod in
+    let t3 =
+      {
+        t3_name = e.name;
+        poly_no_mod = count Config.polynomial_no_mod;
+        poly_mod = poly_mod_count;
+        complete = (Comp.iterate artifacts poly_mod).substituted;
+        intra_only = count Config.intraprocedural_only;
+      }
+    in
+    let t4 =
+      match analysis with
+      | `Const -> None
+      | `Copy ->
+        let const_t =
+          Driver.solve
+            (Config.with_budget ?max_steps ?deadline_ms
+               Config.polynomial_with_mod)
+            artifacts
+        in
+        let copies =
+          Hashtbl.fold
+            (fun _ m acc ->
+              Prog.Param_map.fold
+                (fun _ v acc -> if is_copy v then acc + 1 else acc)
+                m acc)
+            poly_mod.Driver.solution.Solver.vals 0
+        in
+        Some
+          {
+            t4_name = e.name;
+            t4_const = Driver.constants_count const_t;
+            t4_copy_const = D.constants_count poly_mod;
+            t4_copies = copies;
+          }
+    in
+    ((t2, t3, t4), fst (solved Config.default))
+
+  (* [check] runs inside the task, so no solved result outlives it, but
+     after [rows] has returned: the memo and the artifacts are garbage
+     by then, and only the result it checks stays live. *)
+  let program ?max_steps ?deadline_ms ~check e =
+    let (t2, t3, t4), default = rows ?max_steps ?deadline_ms e in
+    { t2; t3; t4; checked = check default }
+
+  (* Parse-and-resolve every suite program in the calling domain before
+     the fan-out: Registry.program memoizes into a shared table, and
+     pre-warming turns the workers' accesses into pure reads. *)
+  let programs ?(jobs = 1) ?max_steps ?deadline_ms ~check () =
+    List.iter (fun e -> ignore (Registry.program e)) Registry.entries;
+    Ipcp_engine.Engine.map ~jobs
+      (program ?max_steps ?deadline_ms ~check)
+      Registry.entries
+end
 
 let pp_table2 ppf rows =
   Fmt.pf ppf "%-12s | %10s %12s %14s %8s | %10s %12s@." "Program" "Polynomial"
@@ -186,21 +184,18 @@ let pp_table3 ppf rows =
         r.complete r.intra_only)
     rows
 
-(** Print the full paper-evaluation reproduction: Tables 1, 2 and 3.
-    [jobs] fans the per-program rows across worker domains; the output is
-    byte-identical for every [jobs] value. *)
-let pp_all ?(analysis = `Const) ?(jobs = 1) ?max_steps ?deadline_ms ppf () =
+let pp ppf programs =
   Fmt.pf ppf "Table 1: characteristics of the program test suite@.@.";
   Metrics.pp_table1 ppf ();
   Fmt.pf ppf "@.Table 2: constants found through use of jump functions@.@.";
-  pp_table2 ppf (table2 ~analysis ~jobs ?max_steps ?deadline_ms ());
+  pp_table2 ppf (List.map (fun p -> p.t2) programs);
   Fmt.pf ppf
     "@.Table 3: most precise jump function vs other propagation techniques@.@.";
-  pp_table3 ppf (table3 ~analysis ~jobs ?max_steps ?deadline_ms ());
-  match analysis with
-  | `Const -> ()
-  | `Copy ->
+  pp_table3 ppf (List.map (fun p -> p.t3) programs);
+  match List.filter_map (fun p -> p.t4) programs with
+  | [] -> ()
+  | rows ->
     Fmt.pf ppf
       "@.Table 4: copy propagation subsumes constant propagation (entry \
        facts, polynomial+MOD)@.@.";
-    pp_table4 ppf (table4 ~jobs ?max_steps ?deadline_ms ())
+    pp_table4 ppf rows

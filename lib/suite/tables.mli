@@ -1,11 +1,11 @@
 (** Regeneration harness for the paper's Tables 2 and 3: the substitution
     counts of every analyzer configuration on every suite program.
 
-    Rows solve over shared staged artifacts ({!Ipcp_core.Driver.prepare})
-    — the per-program call graph, MOD summaries and IR are built once and
-    reused across all configurations of the row — and [?jobs] fans
-    independent rows across worker domains with deterministic (input-order)
-    results, so the printed tables are byte-identical for every [jobs]. *)
+    Each suite program is one task ({!Make.program}): one
+    {!Ipcp_core.Driver.prepare}, then one solve and one substitution per
+    distinct configuration, shared by every cell that reads it.  Tasks
+    fan across worker domains with deterministic (input-order) results,
+    so the printed tables are byte-identical for every [jobs]. *)
 
 type table2_row = {
   t2_name : string;
@@ -37,64 +37,44 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-(** One row; [?artifacts] supplies already-prepared staged artifacts for
-    the entry's program.  [?analysis] (default [`Const]) selects the
-    lattice the counts run under.  [?max_steps]/[?deadline_ms] bound
-    every analysis pass of the row (see
-    {!Ipcp_core.Config.with_budget}); an exhausted pass degrades
-    soundly, so a generous budget reproduces the unbudgeted counts
-    exactly. *)
-val table2_row :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
-  Registry.entry ->
-  table2_row
+(** One suite program's rows. *)
+type 'r program = {
+  t2 : table2_row;
+  t3 : table3_row;
+  t4 : table4_row option;  (** under copy propagation only *)
+  checked : 'r;
+      (** [check] applied to the {!Ipcp_core.Config.default} result the
+          Table 2 pass-through column counted (certification) *)
+}
 
-val table3_row :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
-  Registry.entry ->
-  table3_row
+(** The tables under one analysis. *)
+module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
+  (** One program's rows.  [check] runs inside the task, on the
+      program's {!Ipcp_core.Config.default} result, so no solved result
+      outlives the task.  [?max_steps]/[?deadline_ms] bound every
+      analysis pass (see {!Ipcp_core.Config.with_budget}); an exhausted
+      pass degrades soundly, so a generous budget reproduces the
+      unbudgeted counts exactly. *)
+  val program :
+    ?max_steps:int ->
+    ?deadline_ms:int ->
+    check:(A.L.t Ipcp_core.Driver.analysis_result -> 'r) ->
+    Registry.entry ->
+    'r program
 
-val table4_row :
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
-  Registry.entry ->
-  table4_row
-
-val table2 :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?jobs:int ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  unit ->
-  table2_row list
-
-val table3 :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?jobs:int ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  unit ->
-  table3_row list
-
-val table4 :
-  ?jobs:int -> ?max_steps:int -> ?deadline_ms:int -> unit -> table4_row list
+  (** Every suite program, in registry order; [jobs] worker domains. *)
+  val programs :
+    ?jobs:int ->
+    ?max_steps:int ->
+    ?deadline_ms:int ->
+    check:(A.L.t Ipcp_core.Driver.analysis_result -> 'r) ->
+    unit ->
+    'r program list
+end
 
 val pp_table2 : table2_row list Fmt.t
 val pp_table3 : table3_row list Fmt.t
-val pp_table4 : table4_row list Fmt.t
 
-(** Tables 1, 2 and 3 (plus Table 4 under [`Copy]), formatted like the
-    paper's evaluation section. *)
-val pp_all :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?jobs:int ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  unit Fmt.t
+(** Tables 1, 2 and 3 (plus Table 4 when the rows carry it), formatted
+    like the paper's evaluation section. *)
+val pp : 'elt program list Fmt.t

@@ -321,6 +321,38 @@ let test_cli_certify_corrupted_exits_4 () =
   check Alcotest.bool "the diagnostic is located" true
     (contains ".f:" lines)
 
+(* A corrupted certification copy must not reach the tables: the
+   counts print exactly as the golden, and each of the 12 programs is
+   rejected on stderr. *)
+let test_cli_tables_corrupted_exits_4 () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let out = Filename.temp_file "ipcp_certify" ".out" in
+  let err = Filename.temp_file "ipcp_certify" ".err" in
+  let code =
+    Sys.command
+      (Fmt.str "IPCP_FAULT_CORRUPT=7 %s tables --certify > %s 2> %s"
+         (Filename.quote (bin ())) (Filename.quote out) (Filename.quote err))
+  in
+  let stdout = read out and stderr = read err in
+  Sys.remove out;
+  Sys.remove err;
+  let golden =
+    read
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "goldens/tables_const.txt")
+  in
+  check Alcotest.int "exit 4 on certification failure" 4 code;
+  check Alcotest.string "tables unchanged by the corrupted copy" golden
+    (String.sub stdout 0 (min (String.length golden) (String.length stdout)));
+  let failed =
+    List.length
+      (List.filter
+         (fun l -> String.starts_with ~prefix:"certification failed [" l)
+         (String.split_on_char '\n' stderr))
+  in
+  check Alcotest.int "every program rejected" 12 failed
+
 let test_cli_inject_error_selftest () =
   let _, source, _ = List.hd (suite_programs ()) in
   let path = write_temp source in
@@ -362,6 +394,8 @@ let suite =
     ("reorder preserves analysis", `Quick, test_reorder_preserves_analysis);
     ("cli: certify ok", `Quick, test_cli_certify_ok);
     ("cli: corrupted solution exits 4", `Quick, test_cli_certify_corrupted_exits_4);
+    ("cli: corrupted tables certification exits 4", `Quick,
+     test_cli_tables_corrupted_exits_4);
     ("cli: --inject-error self-test", `Quick, test_cli_inject_error_selftest);
     ("cli: analyze --certify", `Quick, test_cli_analyze_certify_flag);
     ("cli: certify usage error", `Quick, test_cli_certify_usage);

@@ -176,7 +176,11 @@ let test_cache_round_trip () =
   | Some artifacts ->
     (* the cached artifacts must solve to the same rendering *)
     let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
-    let cached = Jobs.analyze ~artifacts ~config:Config.default ~jobs:1 prog in
+    let cached =
+      Jobs.analyze
+        ~solved:(Driver.solve Config.default artifacts)
+        ~config:Config.default ~jobs:1 prog
+    in
     check Alcotest.string "stdout identical through the cache" direct.out
       cached.out;
     check Alcotest.int "code identical" direct.code cached.code);

@@ -43,28 +43,95 @@ let test_staged_equals_legacy () =
         all_configs)
     Registry.entries
 
-let test_analyze_is_prepare_plus_solve () =
-  (* the compat wrapper and an explicit stage split agree on substitution
-     counts too (the substitution consumes eids, envs and the solution) *)
+(* Every Table 2 and Table 3 cell comes out of one prepare per program
+   and one solve per configuration; each must equal a fresh
+   analyze-then-substitute of its configuration, under both analyses. *)
+module Tables_test (A : Ipcp_analysis.Analysis_sig.S) = struct
+  module T = Tables.Make (A)
+  module Sub = Substitute.Make (A)
+  module Comp = Complete.Make (A)
+
+  let check_cells analysis =
+    List.iter
+      (fun (e : Registry.entry) ->
+        let prog = Registry.program e in
+        let p = T.program ~check:ignore e in
+        (* in [all_configs] order *)
+        let cells =
+          [
+            p.t2.ret_poly;
+            p.t2.ret_pass;
+            p.t2.ret_intra;
+            p.t2.ret_lit;
+            p.t2.noret_poly;
+            p.t2.noret_pass;
+            p.t3.poly_no_mod;
+            p.t3.poly_mod;
+            p.t3.intra_only;
+          ]
+        in
+        List.iter2
+          (fun (label, config) cell ->
+            check Alcotest.int
+              (Fmt.str "%s/%s/%s substituted" A.name e.name label)
+              (Sub.count (Config.with_analysis analysis config) prog)
+              cell)
+          all_configs cells;
+        check Alcotest.int
+          (Fmt.str "%s/%s/t3:complete substituted" A.name e.name)
+          (Comp.run
+             ~config:(Config.with_analysis analysis Config.polynomial_with_mod)
+             prog)
+            .substituted p.t3.complete)
+      Registry.entries
+end
+
+let test_table_cells_equal_fresh_counts () =
+  let module Const = Tables_test (Ipcp_analysis.Const_analysis) in
+  let module Copy = Tables_test (Ipcp_analysis.Copy_analysis) in
+  Const.check_cells `Const;
+  Copy.check_cells `Copy
+
+(* One prepare per program (plus one per DCE round that changed code)
+   and one solve per distinct configuration: 8 per program, plus one
+   per DCE round, and Table 4's constant-propagation column under copy. *)
+let test_tables_solve_once () =
   List.iter
-    (fun (e : Registry.entry) ->
-      let prog = Registry.program e in
-      let artifacts = Driver.prepare prog in
-      List.iter
-        (fun (label, config) ->
-          check Alcotest.int
-            (Fmt.str "%s/%s substituted" e.name label)
-            (Substitute.count config prog)
-            (Substitute.count_staged artifacts config))
-        all_configs)
-    Registry.entries
+    (fun (analysis, expected_solves) ->
+      let t = Telemetry.create () in
+      let o =
+        Telemetry.with_reporter t (fun () ->
+            Ipcp_serve.Jobs.tables ~analysis ~certify:true ~jobs:1 ())
+      in
+      let label = Config.analysis_name analysis in
+      check Alcotest.int (label ^ ": exit 0") 0 o.code;
+      check Alcotest.(option int) (label ^ ": program walks") (Some 15)
+        (Telemetry.counter t "driver.program_walks");
+      let rec solves spans =
+        List.fold_left
+          (fun acc (s : Telemetry.span_snapshot) ->
+            acc
+            + (if s.sp_name = "solve" then s.sp_calls else 0)
+            + solves s.sp_children)
+          0 spans
+      in
+      check Alcotest.int (label ^ ": solves") expected_solves
+        (solves (Telemetry.spans t)))
+    [ (`Const, 99); (`Copy, 111) ]
 
 let test_tables_parallel_determinism () =
-  let render jobs = Fmt.str "%a" (fun ppf () -> Tables.pp_all ~jobs ppf ()) () in
-  let sequential = render 1 in
-  check Alcotest.string "jobs=4 byte-identical to jobs=1" sequential (render 4);
-  check Alcotest.bool "tables render non-empty" true
-    (String.length sequential > 0)
+  List.iter
+    (fun analysis ->
+      let render jobs =
+        (Ipcp_serve.Jobs.tables ~analysis ~certify:true ~jobs ()).out
+      in
+      let sequential = render 1 in
+      check Alcotest.string
+        (Config.analysis_name analysis ^ ": jobs=4 byte-identical to jobs=1")
+        sequential (render 4);
+      check Alcotest.bool "tables render non-empty" true
+        (String.length sequential > 0))
+    [ `Const; `Copy ]
 
 (* the DCE example: the else-branch of [conf] is dead once mode=1 is
    known, so complete propagation iterates, and [sink] — unchanged by the
@@ -105,7 +172,8 @@ let suite =
   [
     ("staged solve equals legacy analyze", `Quick, test_staged_equals_legacy);
     ("staged substitution counts agree", `Quick,
-     test_analyze_is_prepare_plus_solve);
+     test_table_cells_equal_fresh_counts);
+    ("tables solve each configuration once", `Quick, test_tables_solve_once);
     ("parallel tables byte-identical", `Quick, test_tables_parallel_determinism);
     ("complete propagation reuses artifacts", `Quick,
      test_complete_reuses_artifacts);
