@@ -139,6 +139,20 @@ for n in 500 1000; do
   fi
   walks=$w
 done
+# The frontend streams: the parser pulls tokens through a two-slot
+# window, so parse + sema promote what the resolved program keeps, not a
+# token list.  Promoted words are a deterministic count on one domain:
+# gate them per source byte on the 1000-procedure program.
+dune exec --no-build -- ipcp analyze "$tmpdir/gen1000.f" --jobs 1 \
+  --profile-json "$tmpdir/gen1000.jobs1.json" > /dev/null
+promoted=$(counter frontend.promoted_words "$tmpdir/gen1000.jobs1.json")
+bytes=$(wc -c < "$tmpdir/gen1000.f")
+echo "-- frontend: $promoted promoted words for $bytes source bytes"
+if [ -z "$promoted" ] || [ "$promoted" -gt $((4 * bytes)) ]; then
+  echo "frontend: parse + sema promoted '$promoted' words for $bytes source" \
+    "bytes, expected at most 4 per byte" >&2
+  exit 1
+fi
 # A 20000-procedure call chain analyzes under a hang guard: every
 # parameter of the chain is the constant 7, and the output does not
 # depend on the number of worker domains.
@@ -173,7 +187,9 @@ echo "== one solve per configuration"
 # that changed code: 12 + 3) and solves each distinct configuration
 # once: 8 per program plus the 3 DCE re-solves, and under copy one
 # constant-propagation solve per program for Table 4.  Solves are the
-# `solve` spans summed over the whole span tree.
+# `solve` spans summed over the whole span tree.  SCCP runs once per
+# procedure per solve, certification included: complete propagation's
+# first sweep takes the polynomial+MOD column's SCCP results (1239).
 solves() {
   awk '/"name": "solve"/ { s = 1 }
        s && /"calls":/ { sub(/.*"calls": */, ""); sub(/[^0-9].*/, ""); n += $0; s = 0 }
@@ -186,13 +202,26 @@ for spec in const:99 copy:111; do
     --profile-json "$tmpdir/tables.$analysis.json" > /dev/null
   w=$(counter driver.program_walks "$tmpdir/tables.$analysis.json")
   n=$(solves "$tmpdir/tables.$analysis.json")
-  echo "-- $analysis: $w program walks, $n solves"
-  if [ "$w" != 15 ] || [ "$n" != "$want" ]; then
+  runs=$(counter sccp.runs "$tmpdir/tables.$analysis.json")
+  echo "-- $analysis: $w program walks, $n solves, $runs SCCP runs"
+  if [ "$w" != 15 ] || [ "$n" != "$want" ] || [ "$runs" != 1239 ]; then
     echo "solve once: tables --analysis $analysis --certify made $w program" \
-      "walks and $n solves, expected 15 and $want" >&2
+      "walks, $n solves and $runs SCCP runs, expected 15, $want and 1239" >&2
     exit 1
   fi
 done
+# `analyze --complete` renders the substitution complete propagation
+# made from its last round's SCCP: on 51 procedures that is two sweeps
+# of 51 SCCP runs, and no third for the printed count.
+dune exec --no-build -- ipcp generate --procs=50 --seed=3 > "$tmpdir/gen50.f"
+dune exec --no-build -- ipcp analyze "$tmpdir/gen50.f" --complete \
+  --profile-json "$tmpdir/complete.json" > /dev/null
+runs=$(counter sccp.runs "$tmpdir/complete.json")
+echo "-- analyze --complete: $runs SCCP runs"
+if [ "$runs" != 102 ]; then
+  echo "solve once: analyze --complete ran SCCP $runs times, expected 102" >&2
+  exit 1
+fi
 # The certifier runs one SCCP per procedure (134 on the suite): the
 # substituted program it executes is built from the SCCP results it
 # already checked.

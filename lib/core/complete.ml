@@ -4,6 +4,8 @@ type 'elt generic_outcome = {
   final : 'elt Driver.analysis_result;
       (** analysis of the final (DCE-stable) program *)
   substituted : int;  (** substitution count on the final program *)
+  substitution : Prog.t * Substitute.stats;
+      (** the final program substituted from the last round's SCCP *)
   dce_rounds : int;  (** rounds that actually removed code *)
   degraded : Ipcp_support.Budget.reason list;
       (** budget exhaustions hit along the way (iteration budget and the
@@ -16,7 +18,7 @@ type outcome = Ipcp_analysis.Const_lattice.t generic_outcome
 module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
   module D = Driver.Make (A)
 
-  let iterate ?budget ?(max_rounds = 10) artifacts
+  let iterate ?budget ?(max_rounds = 10) ?sccps artifacts
       (first : A.L.t Driver.analysis_result) : A.L.t generic_outcome =
     let module Telemetry = Ipcp_telemetry.Telemetry in
     let config = first.Driver.config in
@@ -25,44 +27,46 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
       | Some b -> b
       | None -> Config.budget ~label:"complete" config
     in
-    let rec loop artifacts (t : A.L.t Driver.analysis_result) rounds =
+    let rec loop artifacts (t : A.L.t Driver.analysis_result) sccps rounds =
       Telemetry.incr "complete.rounds";
       (* fold constant branches per procedure using the seeded SCCP; the
          same SCCP results justify the final substitution *)
       let swept =
         Telemetry.span "complete:round" (fun () ->
-            List.map
-              (fun (proc : Prog.proc) ->
-                let sccp = D.sccp_for t proc.pname in
+            let procs = t.Driver.prog.Prog.procs in
+            let sccps =
+              match sccps with
+              | Some sccps -> sccps
+              | None ->
+                List.map (fun (proc : Prog.proc) -> D.sccp_for t proc.pname) procs
+            in
+            List.map2
+              (fun (proc : Prog.proc) (sccp : Ipcp_analysis.Sccp.result) ->
                 let proc', changed =
                   Ipcp_analysis.Dce.run ~cond_consts:sccp.cond_consts proc
                 in
-                (proc, sccp, proc', changed))
-              t.Driver.prog.Prog.procs)
+                (sccp, proc', changed))
+              procs sccps)
       in
-      let changed =
-        List.filter_map
-          (fun ((p : Prog.proc), _, _, ch) -> if ch then Some p.pname else None)
-          swept
-      in
+      let changed = Hashtbl.create 16 in
+      List.iter
+        (fun (_, (p : Prog.proc), ch) -> if ch then Hashtbl.replace changed p.pname ())
+        swept;
       if
-        changed <> [] && rounds < max_rounds
+        Hashtbl.length changed > 0 && rounds < max_rounds
         && Ipcp_support.Budget.tick budget
       then begin
-        let procs = List.map (fun (_, _, p, _) -> p) swept in
+        let procs = List.map (fun (_, p, _) -> p) swept in
         let prog' = { t.Driver.prog with Prog.procs } in
-        let unchanged name = not (List.mem name changed) in
+        let unchanged name = not (Hashtbl.mem changed name) in
         let artifacts' =
           Driver.prepare_reusing ~prev:artifacts ~unchanged prog'
         in
-        loop artifacts' (D.solve config artifacts') (rounds + 1)
+        loop artifacts' (D.solve config artifacts') None (rounds + 1)
       end
       else begin
-        let substituted =
-          List.fold_left
-            (fun acc (proc, sccp, _, _) ->
-              acc + snd (Substitute.apply_proc t proc sccp))
-            0 swept
+        let substitution =
+          Substitute.of_sccps t (List.map (fun (sccp, _, _) -> sccp) swept)
         in
         Telemetry.add "complete.dce_rounds" rounds;
         let degraded =
@@ -73,10 +77,16 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
           | Some reason -> [ reason ]
         in
         Telemetry.add "complete.degraded" (List.length degraded);
-        { final = t; substituted; dce_rounds = rounds; degraded }
+        {
+          final = t;
+          substituted = (snd substitution).Substitute.total;
+          substitution;
+          dce_rounds = rounds;
+          degraded;
+        }
       end
     in
-    loop artifacts first 0
+    loop artifacts first sccps 0
 
   let run ?budget ?(config = Config.polynomial_with_mod) ?max_rounds
       (prog : Prog.t) : A.L.t generic_outcome =

@@ -13,6 +13,9 @@ type 'elt generic_outcome = {
   final : 'elt Driver.analysis_result;
       (** analysis of the final, DCE-stable program *)
   substituted : int;  (** substitution count on the final program *)
+  substitution : Prog.t * Substitute.stats;
+      (** the final program substituted from the last round's SCCP, the
+          results the last sweep already computed *)
   dce_rounds : int;  (** rounds that actually removed code *)
   degraded : Ipcp_support.Budget.reason list;
       (** budget exhaustions hit along the way; empty on a precise run *)
@@ -25,14 +28,18 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   (** [iterate artifacts first] continues from a prepared program and its
       already-solved first round ([first] must be solved over
       [artifacts]): sweep, re-prepare and re-solve until no more code
-      dies.  The final count substitutes from the last round's SCCP, so
-      no SCCP runs twice.  [budget] (default: built from [first]'s
+      dies.  [sccps], when given, are [first]'s per-procedure SCCP
+      results in program order (as {!Driver.Make.sccp_for} computes
+      them); the first sweep takes them instead of running SCCP again.
+      The final substitution comes from the last round's SCCP, so no
+      SCCP runs twice.  [budget] (default: built from [first]'s
       configuration) bounds the number of re-analysis rounds; on
       exhaustion the current round's (sound) result is kept and the
       outcome is marked degraded. *)
   val iterate :
     ?budget:Ipcp_support.Budget.t ->
     ?max_rounds:int ->
+    ?sccps:Ipcp_analysis.Sccp.result list ->
     Driver.artifacts ->
     A.L.t Driver.analysis_result ->
     A.L.t generic_outcome

@@ -105,6 +105,26 @@ let apply_proc (t : 'elt Driver.analysis_result) (proc : Prog.proc)
   let body = List.map stmt proc.pbody in
   ({ proc with pbody = body }, !count)
 
+(* One procedure's rewrite with its count and SCCP degradation flag. *)
+let rewrite t (proc : Prog.proc) (sccp : Ipcp_analysis.Sccp.result) =
+  let proc', n = apply_proc t proc sccp in
+  (proc', (proc.pname, n), sccp.Ipcp_analysis.Sccp.degraded <> [])
+
+let assemble (t : 'elt Driver.analysis_result) results : Prog.t * stats =
+  let procs = List.map (fun (p, _, _) -> p) results in
+  let by_proc = List.map (fun (_, pn, _) -> pn) results in
+  let sccp_degraded =
+    List.filter_map (fun (_, (name, _), d) -> if d then Some name else None)
+      results
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_proc in
+  ({ t.Driver.prog with procs }, { total; by_proc; sccp_degraded })
+
+(** Substitute over the whole program from per-procedure SCCP results
+    already computed, in program order. *)
+let of_sccps (t : 'elt Driver.analysis_result) sccps : Prog.t * stats =
+  assemble t (List.map2 (rewrite t) t.Driver.prog.procs sccps)
+
 module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
   module D = Driver.Make (A)
 
@@ -113,22 +133,10 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
       independent once the analysis is solved); the result is identical
       to the sequential one — the engine preserves program order. *)
   let apply ?(jobs = 1) (t : A.L.t Driver.analysis_result) : Prog.t * stats =
-    let results =
-      Ipcp_engine.Engine.map ~jobs
-        (fun (proc : Prog.proc) ->
-          let sccp = D.sccp_for t proc.pname in
-          let proc', n = apply_proc t proc sccp in
-          (proc', (proc.pname, n), sccp.Ipcp_analysis.Sccp.degraded <> []))
-        t.Driver.prog.procs
-    in
-    let procs = List.map (fun (p, _, _) -> p) results in
-    let by_proc = List.map (fun (_, pn, _) -> pn) results in
-    let sccp_degraded =
-      List.filter_map (fun (_, (name, _), d) -> if d then Some name else None)
-        results
-    in
-    let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_proc in
-    ({ t.Driver.prog with procs }, { total; by_proc; sccp_degraded })
+    assemble t
+      (Ipcp_engine.Engine.map ~jobs
+         (fun (proc : Prog.proc) -> rewrite t proc (D.sccp_for t proc.pname))
+         t.Driver.prog.procs)
 
   (** Convenience: analyze then substitute, returning only the count. *)
   let count (config : Config.t) (prog : Prog.t) : int =

@@ -26,6 +26,14 @@ val apply_proc :
   Ipcp_analysis.Sccp.result ->
   Prog.proc * int
 
+(** Substitute over the whole program of an analysis from its
+    per-procedure SCCP results, given in program order (as
+    {!Driver.Make.sccp_for} computes them), so no SCCP runs again. *)
+val of_sccps :
+  'elt Driver.analysis_result ->
+  Ipcp_analysis.Sccp.result list ->
+  Prog.t * stats
+
 (** The substitution pass for one analysis. *)
 module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   (** Substitute over the whole program of an analysis.  [jobs > 1]

@@ -14,10 +14,15 @@ type t = {
   mutable bol : int;  (** offset of beginning of current line *)
   mutable last_was_newline : bool;
       (** used to collapse runs of blank lines into one NEWLINE *)
+  report : Loc.t -> string -> unit;
+      (** receives each lexical error; {!next} resumes at the next end of
+          line when it returns *)
 }
 
-let create ?(file = "<input>") src =
-  { src; file; pos = 0; line = 1; bol = 0; last_was_newline = true }
+let raise_error l m = raise (Loc.Error (l, m))
+
+let create ?(file = "<input>") ?(report = raise_error) src =
+  { src; file; pos = 0; line = 1; bol = 0; last_was_newline = true; report }
 
 let loc t = Loc.make ~file:t.file ~line:t.line ~col:(t.pos - t.bol + 1)
 
@@ -122,7 +127,7 @@ let lex_ident t =
   while is_alnum (peek_char t) do
     advance t
   done;
-  let text = String.lowercase_ascii (String.sub t.src start (t.pos - start)) in
+  let text = String.init (t.pos - start) (fun i -> lower t.src.[start + i]) in
   match Token.of_keyword text with Some kw -> kw | None -> Token.IDENT text
 
 (* Dotted operator or start of a real literal like ".5". *)
@@ -193,9 +198,10 @@ let lex_string t =
   go ();
   Token.STRING (Buffer.contents buf)
 
-(** Return the next token and its starting location.  Runs of blank lines
-    collapse into a single [NEWLINE]. *)
-let rec next t : Token.t * Loc.t =
+(* The next token and its starting location, raising {!Loc.Error} on
+   malformed input.  Runs of blank lines collapse into a single
+   [NEWLINE]. *)
+let rec scan t : Token.t * Loc.t =
   skip_blanks t;
   let l = loc t in
   if at_end t then begin
@@ -209,7 +215,7 @@ let rec next t : Token.t * Loc.t =
     let c = peek_char t in
     if c = '\n' then begin
       newline t;
-      if t.last_was_newline then next t
+      if t.last_was_newline then scan t
       else begin
         t.last_was_newline <- true;
         (Token.NEWLINE, l)
@@ -240,33 +246,28 @@ let rec next t : Token.t * Loc.t =
       (tok, l)
     end
 
+(** Return the next token and its starting location.  A lexical error
+    goes to the lexer's [report] and the lexer resynchronizes at the next
+    end of line: the malformed span contributes no tokens, and the
+    statement parser then recovers at the NEWLINE boundary. *)
+let rec next t : Token.t * Loc.t =
+  match scan t with
+  | tl -> tl
+  | exception Loc.Error (l, m) ->
+    t.report l m;
+    (* every error path has consumed at least one character, so
+       skipping to the newline guarantees progress *)
+    while (not (at_end t)) && peek_char t <> '\n' do
+      advance t
+    done;
+    next t
+
 (** Tokenize an entire source string; the result always ends with [EOF]. *)
 let tokenize ?(file = "<input>") src : (Token.t * Loc.t) list =
-  let t = create ~file src in
-  let rec go acc =
-    let tok, l = next t in
-    match tok with Token.EOF -> List.rev ((tok, l) :: acc) | _ -> go ((tok, l) :: acc)
-  in
-  go []
-
-(** Like {!tokenize}, but lexical errors are passed to [report] and the
-    lexer resynchronizes at the next end of line instead of aborting, so
-    one bad literal doesn't hide every later diagnostic.  The malformed
-    span contributes no tokens; the statement parser then recovers at
-    the NEWLINE boundary. *)
-let tokenize_collect ?(file = "<input>") ~report src : (Token.t * Loc.t) list =
   let t = create ~file src in
   let rec go acc =
     match next t with
     | (Token.EOF, _) as tl -> List.rev (tl :: acc)
     | tl -> go (tl :: acc)
-    | exception Loc.Error (l, m) ->
-      report l m;
-      (* every error path has consumed at least one character, so
-         skipping to the newline guarantees progress *)
-      while (not (at_end t)) && peek_char t <> '\n' do
-        advance t
-      done;
-      go acc
   in
   go []

@@ -21,28 +21,62 @@
 
 open Ast
 
+(* The parser pulls tokens from the lexer through a two-slot window: the
+   current token and, filled only when {!peek2_tok} asks, one token of
+   look-ahead.  No token list is ever built, so the token stream costs
+   no heap beyond the window. *)
 type t = {
-  mutable toks : (Token.t * Loc.t) list;  (** remaining tokens *)
-  mutable recover : Ipcp_support.Diagnostics.t option;
-      (** when set, syntax errors are accumulated here and parsing
-          resynchronizes at statement / unit boundaries *)
+  lexer : Lexer.t;
+  mutable cur : Token.t * Loc.t;  (** the current token *)
+  mutable ahead : Token.t * Loc.t;  (** the look-ahead, when [has_ahead] *)
+  mutable has_ahead : bool;
+  mutable consumed : int;
+      (** tokens consumed so far: recovery's progress check *)
+  recovering : bool;
+      (** when set, syntax errors are buffered in [parse_errors] and
+          parsing resynchronizes at statement / unit boundaries *)
+  mutable parse_errors : (Loc.t * string) list;  (** newest first *)
 }
 
+(* What [peek] sees once the final EOF has been consumed. *)
+let past_eof = (Token.EOF, Loc.dummy)
+
+let create lexer ~recovering =
+  let cur = Lexer.next lexer in
+  { lexer; cur; ahead = cur; has_ahead = false; consumed = 0; recovering;
+    parse_errors = [] }
+
 let report p l m =
-  match p.recover with
-  | Some diags -> Loc.report diags ~code:"E-PARSE" l m
-  | None -> ()
+  if p.recovering then p.parse_errors <- (l, m) :: p.parse_errors
 
-let peek p = match p.toks with [] -> (Token.EOF, Loc.dummy) | tl :: _ -> tl
+let peek p = p.cur
 
-let peek_tok p = fst (peek p)
+let peek_tok p = fst p.cur
+
+let loc_of p = snd p.cur
 
 let peek2_tok p =
-  match p.toks with _ :: (t, _) :: _ -> t | _ -> Token.EOF
+  match p.cur with
+  | Token.EOF, _ -> Token.EOF
+  | _ ->
+    if not p.has_ahead then begin
+      p.ahead <- Lexer.next p.lexer;
+      p.has_ahead <- true
+    end;
+    fst p.ahead
 
-let loc_of p = snd (peek p)
-
-let advance p = match p.toks with [] -> () | _ :: rest -> p.toks <- rest
+let advance p =
+  if p.cur != past_eof then begin
+    p.consumed <- p.consumed + 1;
+    match p.cur with
+    | Token.EOF, _ -> p.cur <- past_eof
+    | _ ->
+      if p.has_ahead then begin
+        p.cur <- p.ahead;
+        p.has_ahead <- false
+      end
+      else p.cur <- Lexer.next p.lexer
+  end
 
 let expect p tok what =
   let t, l = peek p in
@@ -252,7 +286,7 @@ let rec parse_stmts p =
   else
     match parse_stmt p with
     | s -> s :: parse_stmts p
-    | exception Loc.Error (l, m) when p.recover <> None ->
+    | exception Loc.Error (l, m) when p.recovering ->
       report p l m;
       sync_stmt p;
       parse_stmts p
@@ -657,10 +691,30 @@ let parse_unit p : punit =
   expect_newline p;
   { ukind = kind; uname = name; uformals = formals; udecls = decls; ubody = body; uloc = l }
 
-(** Parse a whole source file into a list of program units. *)
-let parse_program ?(file = "<input>") src : program =
-  let toks = Lexer.tokenize ~file src in
-  let p = { toks; recover = None } in
+(* Raise mode.  A lexical error anywhere in the file wins over any syntax
+   error, as when the whole file was lexed before parsing: the lexer
+   records its first error and resynchronizes, and a syntax error drains
+   the lexer before deciding which of the two to raise. *)
+let parse_raising ~file src parse =
+  let lex_error = ref None in
+  let report l m = if Option.is_none !lex_error then lex_error := Some (l, m) in
+  let lexer = Lexer.create ~file ~report src in
+  let p = create lexer ~recovering:false in
+  let lexical_error_wins () =
+    Option.iter (fun (l, m) -> raise (Loc.Error (l, m))) !lex_error
+  in
+  match parse p with
+  | r ->
+    lexical_error_wins ();
+    r
+  | exception (Loc.Error _ as syntax_error) ->
+    while not (Token.equal (fst (Lexer.next lexer)) Token.EOF) do
+      ()
+    done;
+    lexical_error_wins ();
+    raise syntax_error
+
+let parse_units p =
   let rec go acc =
     skip_newlines p;
     if Token.equal (peek_tok p) Token.EOF then List.rev acc
@@ -668,17 +722,26 @@ let parse_program ?(file = "<input>") src : program =
   in
   go []
 
+(** Parse a whole source file into a list of program units. *)
+let parse_program ?(file = "<input>") src : program =
+  parse_raising ~file src parse_units
+
 (** Parse a whole source file in recovery mode: lexical and syntax
     errors land in [diags] and parsing resynchronizes — at the next line
     for statement-level errors, at the next unit keyword for unit-level
     ones — so a single run reports every independent problem.  The
-    returned units are those that parsed cleanly enough to resolve. *)
+    returned units are those that parsed cleanly enough to resolve.
+
+    Diagnostic order is a contract: every [E-LEX] precedes every
+    [E-PARSE], as when the whole file was lexed first.  Lexical errors
+    go straight to [diags]; syntax errors wait in the parser until the
+    lexer has reached EOF. *)
 let parse_program_collect ?(file = "<input>") diags src : program =
-  let toks =
-    Lexer.tokenize_collect ~file src ~report:(fun l m ->
+  let lexer =
+    Lexer.create ~file src ~report:(fun l m ->
         Loc.report diags ~code:"E-LEX" l m)
   in
-  let p = { toks; recover = Some diags } in
+  let p = create lexer ~recovering:true in
   (* Unit-boundary resynchronization: drop tokens until the next unit
      keyword (or EOF). *)
   let rec sync_unit () =
@@ -693,26 +756,29 @@ let parse_program_collect ?(file = "<input>") diags src : program =
     skip_newlines p;
     if Token.equal (peek_tok p) Token.EOF then List.rev acc
     else
-      let before = p.toks in
+      let before = p.consumed in
       match parse_unit p with
       | u -> go (u :: acc)
       | exception Loc.Error (l, m) ->
         report p l m;
         (* the error may sit on a unit keyword with nothing consumed;
            force progress before seeking the next unit *)
-        if p.toks == before then advance p;
+        if p.consumed = before then advance p;
         sync_unit ();
         go acc
   in
-  go []
+  let units = go [] in
+  List.iter
+    (fun (l, m) -> Loc.report diags ~code:"E-PARSE" l m)
+    (List.rev p.parse_errors);
+  units
 
 (** Parse a single expression (used by tests and the workload generator). *)
 let parse_expression ?(file = "<expr>") src : expr =
-  let toks = Lexer.tokenize ~file src in
-  let p = { toks; recover = None } in
-  let e = parse_expr p in
-  skip_newlines p;
-  (match peek p with
-  | Token.EOF, _ -> ()
-  | t, l -> Loc.error l "trailing input after expression: %a" Token.pp t);
-  e
+  parse_raising ~file src (fun p ->
+      let e = parse_expr p in
+      skip_newlines p;
+      (match peek p with
+      | Token.EOF, _ -> ()
+      | t, l -> Loc.error l "trailing input after expression: %a" Token.pp t);
+      e)

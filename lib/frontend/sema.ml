@@ -47,7 +47,13 @@ let fresh ctx =
 
 let implicit_ty = Implicit.ty_of_name
 
-let lookup env name = List.assoc_opt name env.table
+let rec assoc_name name = function
+  | [] -> None
+  | (n, sym) :: rest -> if String.equal n name then Some sym else assoc_name name rest
+
+let lookup env name = assoc_name name env.table
+
+let bound env name = List.exists (fun (n, _) -> String.equal n name) env.table
 
 let add_sym env name sym = env.table <- (name, sym) :: env.table
 
@@ -166,7 +172,7 @@ let build_env ctx (u : Ast.punit) : unit_env * (string * Prog.global) list =
   (* Parameter constants first: they may be used in later array bounds. *)
   List.iter
     (fun (n, e, loc) ->
-      if lookup env n <> None then Loc.error loc "duplicate parameter %s" n;
+      if bound env n then Loc.error loc "duplicate parameter %s" n;
       let ty, v = fold_const env e in
       add_sym env n (Sconst (ty, v)))
     params;
@@ -182,7 +188,7 @@ let build_env ctx (u : Ast.punit) : unit_env * (string * Prog.global) list =
       let member_info =
         List.map
           (fun name ->
-            if List.mem_assoc name env.table then
+            if bound env name then
               Loc.error loc "common member %s conflicts with a parameter" name;
             let ty, dims = declared_ty name in
             (name, ty, dims))
@@ -191,7 +197,7 @@ let build_env ctx (u : Ast.punit) : unit_env * (string * Prog.global) list =
       let layout = register_common ctx ~unit_name:u.uname loc block member_info in
       List.iter2
         (fun name (g : Prog.global) ->
-          if List.mem_assoc name env.table then
+          if bound env name then
             Loc.error loc "duplicate declaration of common member %s" name;
           let ty, dims = declared_ty name in
           add_sym env name
@@ -202,7 +208,7 @@ let build_env ctx (u : Ast.punit) : unit_env * (string * Prog.global) list =
   (* Formals. *)
   List.iteri
     (fun i name ->
-      if List.mem_assoc name env.table then
+      if bound env name then
         Loc.error u.uloc "formal parameter %s of %s conflicts with another declaration"
           name u.uname;
       let ty, dims = declared_ty name in
@@ -226,7 +232,7 @@ let build_env ctx (u : Ast.punit) : unit_env * (string * Prog.global) list =
         List.iter
           (fun (name, _) ->
             match Hashtbl.find_opt types name with
-            | Some (ty, dims, _) when not (List.mem_assoc name env.table) ->
+            | Some (ty, dims, _) when not (bound env name) ->
               let v = { Prog.vname = name; vty = ty; vdims = dims; vkind = Klocal } in
               add_sym env name (Svar v);
               env.locals_order <- v :: env.locals_order
@@ -774,16 +780,23 @@ let parse_and_resolve ?(file = "<input>") src : Prog.t =
     lexical, syntax and semantic problem found in one pass. *)
 let check ?(file = "<input>") src : (Prog.t, Ipcp_support.Diagnostics.t) result
     =
-  Ipcp_telemetry.Telemetry.span "frontend" (fun () ->
+  let module Telemetry = Ipcp_telemetry.Telemetry in
+  Telemetry.span "frontend" (fun () ->
+      (* words promoted to the major heap by parse + sema: what the
+         frontend leaves the collector, a count that repeats exactly *)
+      let promoted () = int_of_float (Gc.quick_stat ()).Gc.promoted_words in
+      let profiling = Telemetry.enabled () in
+      let promoted0 = if profiling then promoted () else 0 in
       let diags = Ipcp_support.Diagnostics.create () in
       let ast =
-        Ipcp_telemetry.Telemetry.span "parse" (fun () ->
+        Telemetry.span "parse" (fun () ->
             Parser.parse_program_collect ~file diags src)
       in
       let prog =
-        Ipcp_telemetry.Telemetry.span "sema" (fun () ->
-            resolve_collect diags ast)
+        Telemetry.span "sema" (fun () -> resolve_collect diags ast)
       in
+      if profiling then
+        Telemetry.add "frontend.promoted_words" (promoted () - promoted0);
       match prog with
       | Some p when Ipcp_support.Diagnostics.error_count diags = 0 -> Ok p
       | _ -> Error diags)

@@ -61,36 +61,35 @@ type t =
   | NEWLINE
   | EOF
 
-let keyword_table : (string * t) list =
-  [
-    ("program", KW_PROGRAM);
-    ("subroutine", KW_SUBROUTINE);
-    ("function", KW_FUNCTION);
-    ("integer", KW_INTEGER);
-    ("real", KW_REAL);
-    ("logical", KW_LOGICAL);
-    ("common", KW_COMMON);
-    ("parameter", KW_PARAMETER);
-    ("data", KW_DATA);
-    ("call", KW_CALL);
-    ("if", KW_IF);
-    ("then", KW_THEN);
-    ("else", KW_ELSE);
-    ("elseif", KW_ELSEIF);
-    ("endif", KW_ENDIF);
-    ("do", KW_DO);
-    ("while", KW_WHILE);
-    ("enddo", KW_ENDDO);
-    ("goto", KW_GOTO);
-    ("continue", KW_CONTINUE);
-    ("return", KW_RETURN);
-    ("stop", KW_STOP);
-    ("end", KW_END);
-    ("print", KW_PRINT);
-    ("read", KW_READ);
-  ]
-
-let of_keyword s = List.assoc_opt s keyword_table
+(* Runs once per identifier: a compiled match (a switch on the length,
+   then word compares) keeps polymorphic compare off the lexer's path. *)
+let of_keyword = function
+  | "program" -> Some KW_PROGRAM
+  | "subroutine" -> Some KW_SUBROUTINE
+  | "function" -> Some KW_FUNCTION
+  | "integer" -> Some KW_INTEGER
+  | "real" -> Some KW_REAL
+  | "logical" -> Some KW_LOGICAL
+  | "common" -> Some KW_COMMON
+  | "parameter" -> Some KW_PARAMETER
+  | "data" -> Some KW_DATA
+  | "call" -> Some KW_CALL
+  | "if" -> Some KW_IF
+  | "then" -> Some KW_THEN
+  | "else" -> Some KW_ELSE
+  | "elseif" -> Some KW_ELSEIF
+  | "endif" -> Some KW_ENDIF
+  | "do" -> Some KW_DO
+  | "while" -> Some KW_WHILE
+  | "enddo" -> Some KW_ENDDO
+  | "goto" -> Some KW_GOTO
+  | "continue" -> Some KW_CONTINUE
+  | "return" -> Some KW_RETURN
+  | "stop" -> Some KW_STOP
+  | "end" -> Some KW_END
+  | "print" -> Some KW_PRINT
+  | "read" -> Some KW_READ
+  | _ -> None
 
 let pp ppf = function
   | INT n -> Fmt.pf ppf "INT(%d)" n
@@ -147,4 +146,14 @@ let pp ppf = function
 
 let to_string t = Fmt.str "%a" pp t
 
-let equal (a : t) (b : t) = a = b
+(* Constructor by constructor: literal payloads compare at their own
+   type, and constant constructors are immediates. *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | INT x, INT y -> Int.equal x y
+  | REAL x, REAL y -> x = y
+  | STRING x, STRING y | IDENT x, IDENT y -> String.equal x y
+  | (INT _ | REAL _ | STRING _ | IDENT _), _
+  | _, (INT _ | REAL _ | STRING _ | IDENT _) ->
+    false
+  | _ -> a == b

@@ -93,20 +93,22 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
   let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
       ?substitute_out ?solved ~config ~jobs prog =
     render @@ fun ppf err ->
-    let t, degraded =
+    let t, degraded, substitution =
       match solved with
       | Some t ->
         (* a precomputed result (the incremental path) renders through the
            same pipeline below, so its frames stay byte-identical to a
            from-scratch analyze *)
-        (t, Driver.degraded t)
+        (t, Driver.degraded t, None)
       | None ->
         if complete then
+          (* complete propagation substituted its final program from the
+             last round's SCCP already *)
           let o = Comp.run ~config prog in
-          (o.Complete.final, o.Complete.degraded)
+          (o.Complete.final, o.Complete.degraded, Some o.Complete.substitution)
         else
           let t = D.analyze config prog in
-          (t, Driver.degraded t)
+          (t, Driver.degraded t, None)
     in
     if verbose then begin
       Fmt.pf ppf "--- call graph@.%a@." Callgraph.pp t.Driver.cg;
@@ -114,7 +116,9 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
     end;
     Fmt.pf ppf "--- configuration: %a@." Config.pp config;
     Fmt.pf ppf "--- CONSTANTS sets@.%a" D.pp_constants t;
-    let prog', stats = Sub.apply ~jobs t in
+    let prog', stats =
+      match substitution with Some s -> s | None -> Sub.apply ~jobs t
+    in
     Fmt.pf ppf "--- constants substituted: %d@." stats.Substitute.total;
     List.iter
       (fun (p, n) -> if n > 0 then Fmt.pf ppf "      %-16s %d@." p n)

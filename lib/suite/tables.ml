@@ -52,7 +52,6 @@ type 'r program = {
 
 module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
   module D = Driver.Make (A)
-  module Sub = Substitute.Make (A)
   module Comp = Complete.Make (A)
 
   let analysis =
@@ -69,24 +68,37 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
      per distinct configuration, memoized for every column that reads
      it (Table 2's polynomial column is Table 3's with-MOD column, the
      first round of complete propagation and Table 4's copy column; its
-     pass-through column is the result certification checks). *)
+     pass-through column is the result certification checks).  The
+     polynomial+MOD entry keeps its per-procedure SCCP results, which
+     complete propagation's first sweep takes instead of running SCCP
+     again; other entries drop theirs, which no reader takes, so they
+     are not promoted. *)
   let rows ?max_steps ?deadline_ms (e : Registry.entry) =
     let artifacts = Driver.prepare (Registry.program e) in
+    let configure c =
+      Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
+    in
+    let complete_config = configure Config.polynomial_with_mod in
     let memo = ref [] in
     let solved c =
-      let config =
-        Config.with_analysis analysis
-          (Config.with_budget ?max_steps ?deadline_ms c)
-      in
+      let config = configure c in
       match List.find_opt (fun (c', _) -> Config.equal c' config) !memo with
       | Some (_, r) -> r
       | None ->
         let t = D.solve config artifacts in
-        let r = (t, (snd (Sub.apply t)).Substitute.total) in
+        let sccps =
+          List.map (fun (p : Prog.proc) -> D.sccp_for t p.pname) t.Driver.prog.procs
+        in
+        let count = (snd (Substitute.of_sccps t sccps)).Substitute.total in
+        let kept = if Config.equal config complete_config then Some sccps else None in
+        let r = (t, kept, count) in
         memo := (config, r) :: !memo;
         r
     in
-    let count c = snd (solved c) in
+    let count c =
+      let _, _, n = solved c in
+      n
+    in
     let with_kind ?return_jfs kind = count (Config.make ~kind ?return_jfs ()) in
     let t2 =
       {
@@ -99,13 +111,16 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
         noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
       }
     in
-    let poly_mod, poly_mod_count = solved Config.polynomial_with_mod in
+    let poly_mod, poly_mod_sccps, poly_mod_count =
+      solved Config.polynomial_with_mod
+    in
     let t3 =
       {
         t3_name = e.name;
         poly_no_mod = count Config.polynomial_no_mod;
         poly_mod = poly_mod_count;
-        complete = (Comp.iterate artifacts poly_mod).substituted;
+        complete =
+          (Comp.iterate ?sccps:poly_mod_sccps artifacts poly_mod).substituted;
         intra_only = count Config.intraprocedural_only;
       }
     in
@@ -135,7 +150,8 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
             t4_copies = copies;
           }
     in
-    ((t2, t3, t4), fst (solved Config.default))
+    let default, _, _ = solved Config.default in
+    ((t2, t3, t4), default)
 
   (* [check] runs inside the task, so no solved result outlives it, but
      after [rows] has returned: the memo and the artifacts are garbage

@@ -246,6 +246,24 @@ let test_parse_error_stderr_golden () =
     stderr_l;
   Sys.remove f
 
+(* Golden stderr with both kinds of error: every E-LEX precedes every
+   E-PARSE, although the syntax error sits on an earlier line, as when
+   the whole file was lexed before parsing. *)
+let test_mixed_error_stderr_golden () =
+  let f =
+    write_temp "program m\n  integer x\n  x = = 3\n  x = 4 @ 2\n  print *, x\nend\n"
+  in
+  let code, _, stderr_l = run_cli_full [ "analyze"; f ] in
+  check Alcotest.int "exit 3" 3 code;
+  check (Alcotest.list Alcotest.string) "golden stderr"
+    [
+      f ^ ":4:9: error[E-LEX]: unexpected character '@'";
+      f ^ ":3:7: error[E-PARSE]: expected an expression but found =";
+      "2 error(s)";
+    ]
+    stderr_l;
+  Sys.remove f
+
 (* One run must surface every independent problem, not stop at the
    first: two expression errors and an unknown callee here. *)
 let test_multi_error_diagnostics () =
@@ -372,6 +390,7 @@ let suite =
     ("cli profile stdout identical", `Quick, test_tables_profile_stdout_identical);
     ("cli syntax error exit code", `Quick, test_syntax_error_exit_code);
     ("cli parse error stderr golden", `Quick, test_parse_error_stderr_golden);
+    ("cli mixed error stderr golden", `Quick, test_mixed_error_stderr_golden);
     ("cli multi-error diagnostics", `Quick, test_multi_error_diagnostics);
     ("cli unknown flag usage exit", `Quick, test_unknown_flag_usage_exit_code);
     ("cli missing file exit code", `Quick, test_missing_file_exit_code);

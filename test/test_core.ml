@@ -539,7 +539,14 @@ let test_complete_propagation_dce () =
   (* complete propagation folds the dead else-branch and finds v = 10 *)
   let outcome = Complete.run (resolve src) in
   check Alcotest.bool "at least one dce round" true (outcome.dce_rounds >= 1);
-  expect_const outcome.final "sink" "b" 10
+  expect_const outcome.final "sink" "b" 10;
+  (* the outcome's substitution is the one the final result yields *)
+  let prog', stats = outcome.substitution in
+  let prog'', stats' = Substitute.apply outcome.final in
+  check Alcotest.string "substituted program"
+    (Pretty.program_to_string prog'') (Pretty.program_to_string prog');
+  check Alcotest.bool "substitution stats" true (stats = stats');
+  check Alcotest.int "substituted count" stats.total outcome.substituted
 
 let test_complete_propagation_single_round () =
   (* on a program with no dead code, complete propagation does nothing *)

@@ -183,6 +183,31 @@ let test_parse_error_missing_endif () =
   | exception Loc.Error _ -> ()
   | _ -> fail "expected a parse error"
 
+(* Raise mode: a lexical error anywhere wins, even one after the first
+   syntax error, exactly as when the whole file was lexed first.  The
+   parser pulls tokens lazily, so a syntax error drains the lexer before
+   deciding which error to raise. *)
+let mixed_errors = "program m\n  integer x\n  x = = 3\n  x = 4 @ 2\n  print *, x\nend\n"
+
+let raised f =
+  match f () with
+  | exception Loc.Error (l, m) -> Fmt.str "%a: %s" Loc.pp l m
+  | _ -> fail "expected an error"
+
+let test_parse_lexical_error_wins () =
+  check Alcotest.string "the later lexical error"
+    "<input>:4:9: unexpected character '@'"
+    (raised (fun () -> Parser.parse_program mixed_errors));
+  check Alcotest.string "no lexical error: the syntax error"
+    "<input>:3:7: expected an expression but found ="
+    (raised (fun () ->
+         Parser.parse_program "program m\n  integer x\n  x = = 3\nend\n"));
+  check Alcotest.string "the first of two lexical errors"
+    "<input>:2:7: unexpected character '$'"
+    (raised (fun () -> Parser.parse_program "program m\n  x = $\n  y = #\nend\n"));
+  check Alcotest.string "expressions too" "<expr>:1:9: unexpected character '@'"
+    (raised (fun () -> Parser.parse_expression "1 + ) + @"))
+
 let test_parse_multiple_units () =
   let us =
     Parser.parse_program
@@ -495,6 +520,7 @@ let suite =
     ("parse declarations", `Quick, test_parse_declarations);
     ("parse call without args", `Quick, test_parse_call_no_args);
     ("parse missing endif", `Quick, test_parse_error_missing_endif);
+    ("parse lexical error wins", `Quick, test_parse_lexical_error_wins);
     ("parse multiple units", `Quick, test_parse_multiple_units);
     ("roundtrip example", `Quick, test_roundtrip_example);
     ("sema implicit typing", `Quick, test_sema_implicit_typing);

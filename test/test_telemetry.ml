@@ -346,6 +346,16 @@ let test_pipeline_emits_stages () =
     (Telemetry.counter t "solver.worklist.pops" <> None);
   check Alcotest.bool "per-kind eval count present" true
     (Telemetry.counter t "jf.eval.passthrough" <> None);
+  (* the batch frontend counts the words parse + sema promote *)
+  let front = Telemetry.create () in
+  (match
+     Telemetry.with_reporter front (fun () ->
+         Ipcp_frontend.Sema.check "program main\nprint *, 1\nend\n")
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "frontend rejected a valid program");
+  check Alcotest.bool "frontend promoted words present" true
+    (Telemetry.counter front "frontend.promoted_words" <> None);
   (* and the analysis result is unaffected by profiling *)
   let plain = Ipcp_core.Driver.analyze Ipcp_core.Config.default prog in
   check Alcotest.int "same constants with and without profiling"
